@@ -150,6 +150,14 @@ def _cfg_from_args(args, track_maps=False):
                             stats=stats, track_maps=track_maps)
 
 
+def _mean_flops(traces, dims, include_overhead):
+    """(GFLOPs, reduction %) averaged over images; adaptive r varies per image."""
+    reps = [flops.trace_flops(tr, dims, include_overhead=include_overhead)
+            for tr in traces]
+    return (float(np.mean([r.grand_total for r in reps])) / 1e9,
+            float(np.mean([r.reduction_pct for r in reps])))
+
+
 def cmd_run(args) -> int:
     weights = load_weights(args.weights)
     images, _ = data.load_dataset(args.dataset)
@@ -167,13 +175,12 @@ def cmd_run(args) -> int:
                              [(i, tr) for i, (_, tr) in enumerate(results)])
     traces = [tr for _, tr in results]
     mean_merges = float(np.mean([tr.total_merges for tr in traces]))
-    rep = flops.trace_flops(traces[0], weights.dims,
-                            include_overhead=args.include_overhead)
+    flops_g, reduction = _mean_flops(traces, weights.dims, args.include_overhead)
     acc = _accuracy(results, labels)
     print(f"method={args.method} images={len(images)}")
     print(f"mean total merges: {mean_merges:.2f}")
-    print(f"FLOPs (first image): {rep.grand_total / 1e9:.3f} G "
-          f"(reduction {rep.reduction_pct:.1f}% vs merge-free)")
+    print(f"FLOPs (mean over images): {flops_g:.3f} G "
+          f"(reduction {reduction:.1f}% vs merge-free)")
     print(f"accuracy: {'n/a' if acc is None else f'{acc:.4f}'}")
     print(f"wall time: {wall:.3f} s")
     return EXIT_OK
@@ -214,11 +221,8 @@ def cmd_compare(args) -> int:
         results = run_dataset(weights, images, cfg, threads=args.threads)
         wall = time.perf_counter() - t0
         traces = [tr for _, tr in results]
-        reps = [flops.trace_flops(tr, weights.dims,
-                                  include_overhead=args.include_overhead)
-                for tr in traces]
-        flops_g = float(np.mean([r.grand_total for r in reps])) / 1e9
-        reduction = float(np.mean([r.reduction_pct for r in reps]))
+        flops_g, reduction = _mean_flops(traces, weights.dims,
+                                         args.include_overhead)
         mean_merges = float(np.mean([tr.total_merges for tr in traces]))
         rows.append({"config": spec, "method": method, "flops_g": flops_g,
                      "flops_reduction_pct": reduction,

@@ -45,9 +45,19 @@ def save_dataset(path: str, images: np.ndarray, meta: dict | None = None) -> Non
 
 
 def load_dataset(path: str) -> tuple[np.ndarray, dict]:
-    tensors, meta = load_archive(path)
-    if meta.get("kind") != "token-dataset":
-        raise ArchiveError(f"archive at {path} does not hold a token dataset")
-    n = meta["n_images"]
-    images = np.stack([tensors[f"image_{i:05d}"] for i in range(n)])
+    """Read a token dataset straight into one [n_images, n_tokens, dim] array."""
+    images = None
+
+    def image_rows(meta, shapes):
+        nonlocal images
+        if meta.get("kind") != "token-dataset":
+            raise ArchiveError(f"archive at {path} does not hold a token dataset")
+        try:
+            images = np.empty((meta["n_images"], meta["n_tokens"], meta["dim"]),
+                              dtype="<f4")
+        except (KeyError, TypeError, ValueError) as e:
+            raise ArchiveError(f"archive at {path}: bad dataset meta ({e})") from e
+        return {f"image_{i:05d}": images[i] for i in range(len(images))}
+
+    _, meta = load_archive(path, into=image_rows)
     return images, meta

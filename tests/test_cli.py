@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
-from adamerge.cli import main, parse_config_spec
+from adamerge import calibration, data, flops
+from adamerge.cli import build_run_config, main, parse_config_spec, run_dataset
+from adamerge.runtime import load_weights
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,27 @@ class TestRun:
             recs = [r for r in rows if r["image_id"] == str(img)]
             for a, b in zip(recs, recs[1:]):
                 assert int(b["n_before"]) == int(a["n_before"]) - int(a["r"])
+
+    def test_summary_flops_are_the_mean_over_images(self, workspace, capsys):
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge", "--r-max",
+                     "6", "--stats", workspace["stats"]]) == 0
+        shown = re.search(r"FLOPs \(mean over images\): ([\d.]+) G "
+                          r"\(reduction ([\d.]+)%", capsys.readouterr().out)
+        assert shown
+
+        weights = load_weights(workspace["weights"])
+        images, _ = data.load_dataset(workspace["dataset"])
+        cfg = build_run_config("adamerge", r_max=6,
+                               stats=calibration.load_stats(workspace["stats"]))
+        reps = [flops.trace_flops(tr, weights.dims)
+                for _, tr in run_dataset(weights, images, cfg)]
+        mean_reduction = f"{np.mean([r.reduction_pct for r in reps]):.1f}"
+        # adaptive r differs per image, so the first image is not the mean
+        assert f"{reps[0].reduction_pct:.1f}" != mean_reduction
+        assert shown.group(2) == mean_reduction
+        assert shown.group(1) == \
+            f"{np.mean([r.grand_total for r in reps]) / 1e9:.3f}"
 
     def test_rerun_csv_byte_identical(self, workspace, tmp_path):
         outs = []
