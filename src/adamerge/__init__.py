@@ -6,7 +6,7 @@ from .matcher import (MergeDecision, Partition, execute_merge, partition,
                       reconstruction_gap, select_merges, weighted_scores)
 from .runtime import (VIT_B16, ModelDims, ModelWeights, RunConfig, RunTrace,
                       TokenSequence, forward_block, forward_model,
-                      load_weights, save_weights, synth_weights)
+                      load_weights, run_images, save_weights, synth_weights)
 from .salience import SalienceVector, compute_salience, minmax_normalize, salience_of
 from .schedule import LayerStats, ScheduleConfig, decide_r, redundancy_proxy
 
@@ -15,7 +15,7 @@ __all__ = [
     "reconstruction_gap", "select_merges", "weighted_scores",
     "VIT_B16", "ModelDims", "ModelWeights", "RunConfig", "RunTrace",
     "TokenSequence", "forward_block", "forward_model",
-    "load_weights", "save_weights", "synth_weights",
+    "load_weights", "run_images", "save_weights", "synth_weights",
     "SalienceVector", "compute_salience", "minmax_normalize", "salience_of",
     "LayerStats", "ScheduleConfig", "decide_r", "redundancy_proxy",
 ]

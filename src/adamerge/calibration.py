@@ -5,11 +5,10 @@
 # converge toward the inference-time distribution they induce.
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .runtime import ModelWeights, RunConfig, TokenSequence, forward_model
+from .runtime import ModelWeights, RunConfig, method_knobs, run_images
 from .schedule import SIGMA_FLOOR, LayerStats, ScheduleConfig
 
 STATS_VERSION = 1
@@ -19,14 +18,14 @@ _STATS_KEYS = {"version", "model_id", "num_layers", "r_max", "alpha",
 
 def _run_config(r_max: int, alpha: float, temperature: float,
                 method: str, stats: LayerStats | None) -> RunConfig:
+    salience, kind = method_knobs(method)
+    # built for every pass so that a bad r_max fails before the bootstrap
+    adaptive = ScheduleConfig(r_max=r_max, alpha=alpha, temperature=temperature)
+    if kind is None:
+        return RunConfig(salience=salience, schedule=None)
     if stats is None:
-        sched = ScheduleConfig(r_max=r_max, alpha=alpha,
-                               temperature=temperature,
-                               mode="fixed", fixed_r=r_max // 2)
-        return RunConfig(method=method, schedule=sched)
-    sched = ScheduleConfig(r_max=r_max, alpha=alpha,
-                           temperature=temperature, mode="adaptive")
-    return RunConfig(method=method, schedule=sched, stats=stats)
+        return RunConfig(salience=salience, schedule=r_max // 2)
+    return RunConfig(salience=salience, schedule=adaptive, stats=stats)
 
 
 def collect_pass(weights: ModelWeights, images, r_max: int,
@@ -44,18 +43,8 @@ def collect_pass(weights: ModelWeights, images, r_max: int,
     if not images:
         raise ValueError("calibration dataset is empty")
     cfg = _run_config(r_max, alpha, temperature, method, stats)
-
-    def one(patches):
-        seq = TokenSequence(cls=np.zeros(weights.dims.d, dtype=np.float32),
-                            patches=np.asarray(patches, dtype=np.float32))
-        _, trace = forward_model(seq, weights, cfg)
-        return [rec.sbar for rec in trace.layers]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, images))
-    else:
-        rows = [one(img) for img in images]
+    rows = [[rec.sbar for rec in trace.layers]
+            for _, trace in run_images(weights, images, cfg, threads)]
     return np.asarray(rows, dtype=np.float64).T  # [L, n_images]
 
 

@@ -8,21 +8,18 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import calibration, data, flops, report
 from .archive import ArchiveError
-from .runtime import (ModelDims, RunConfig, TokenSequence, forward_model,
-                      load_weights, save_weights, synth_weights)
+from .runtime import (METHOD_ALIASES, ModelDims, RunConfig, load_weights,
+                      method_knobs, run_images, save_weights, synth_weights)
 from .schedule import ScheduleConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-METHOD_CHOICES = ["none", "tome", "adamerge", "sw-only", "adp-only"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,45 +39,28 @@ def build_run_config(method: str, *, r: int | None = None,
                      r_max: int | None = None, alpha: float = 1.0,
                      temperature: float = 1.0, stats=None,
                      track_maps: bool = False) -> RunConfig:
-    """Resolve CLI-style options into a RunConfig.
+    """Resolve a method alias and CLI-style options into a RunConfig.
 
     tome and sw-only run fixed schedules (want --r); adamerge and
     adp-only run adaptively (want --r-max and stats) unless --r forces a
-    fixed schedule.
+    fixed schedule, so `adamerge --r k` is `sw-only --r k`.
     """
-    if method == "none":
-        return RunConfig(method="none",
-                         schedule=ScheduleConfig(r_max=0, mode="fixed"))
-    adaptive = method in ("adamerge", "adp-only") and r is None
-    if adaptive:
-        if r_max is None:
-            raise ValueError(f"method {method} needs --r-max in adaptive mode")
-        sched = ScheduleConfig(r_max=r_max, alpha=alpha,
-                               temperature=temperature, mode="adaptive")
-        if stats is None:
-            raise ValueError(
-                f"method {method} needs calibrated stats; run `adamerge "
-                "calibrate` first or pass --r for a fixed schedule")
-        return RunConfig(method=method, schedule=sched, stats=stats,
-                         track_maps=track_maps)
-    if r is None:
+    salience, kind = method_knobs(method)
+    if kind is None:
+        return RunConfig(salience=salience, schedule=None)
+    if r is not None:
+        return RunConfig(salience=salience, schedule=r, track_maps=track_maps)
+    if kind == "fixed":
         raise ValueError(f"method {method} needs --r (fixed merge count)")
-    sched = ScheduleConfig(r_max=max(r, 0), alpha=alpha,
-                           temperature=temperature, mode="fixed", fixed_r=r)
-    return RunConfig(method=method, schedule=sched, track_maps=track_maps)
-
-
-def run_dataset(weights, images, cfg: RunConfig, threads: int = 1):
-    """Forward every image; results in image-index order."""
-    def one(patches):
-        seq = TokenSequence(cls=np.zeros(weights.dims.d, dtype=np.float32),
-                            patches=np.asarray(patches, dtype=np.float32))
-        return forward_model(seq, weights, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, images))
-    return [one(img) for img in images]
+    if r_max is None:
+        raise ValueError(f"method {method} needs --r-max in adaptive mode")
+    sched = ScheduleConfig(r_max=r_max, alpha=alpha, temperature=temperature)
+    if stats is None:
+        raise ValueError(
+            f"method {method} needs calibrated stats; run `adamerge "
+            "calibrate` first or pass --r for a fixed schedule")
+    return RunConfig(salience=salience, schedule=sched, stats=stats,
+                     track_maps=track_maps)
 
 
 def _load_labels(path, n_images):
@@ -143,19 +123,40 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cfg_from_args(args, track_maps=False):
-    stats = calibration.load_stats(args.stats) if args.stats else None
+def _load_stats(path, weights):
+    """Stats at `path` (None without a path), checked against the model."""
+    if not path:
+        return None
+    stats = calibration.load_stats(path)
+    if stats.model_id != weights.model_id:
+        raise ValueError(
+            f"{path}: stats were calibrated on model {stats.model_id!r}, "
+            f"but the weights are model {weights.model_id!r}")
+    return stats
+
+
+def _cfg_from_args(args, weights, track_maps=False):
+    stats = _load_stats(args.stats, weights)
     return build_run_config(args.method, r=args.r, r_max=args.r_max,
                             alpha=args.alpha, temperature=args.temperature,
                             stats=stats, track_maps=track_maps)
 
 
-def _mean_flops(traces, dims, include_overhead):
-    """(GFLOPs, reduction %) averaged over images; adaptive r varies per image."""
-    reps = [flops.trace_flops(tr, dims, include_overhead=include_overhead)
+def _measure(weights, images, cfg, args, labels):
+    """Forward every image; returns (results, summary row). FLOPs and
+    merges are means over images, since adaptive r varies per image."""
+    t0 = time.perf_counter()
+    results = run_images(weights, images, cfg, threads=args.threads)
+    wall = time.perf_counter() - t0
+    traces = [tr for _, tr in results]
+    reps = [flops.trace_flops(tr, weights.dims,
+                              include_overhead=args.include_overhead)
             for tr in traces]
-    return (float(np.mean([r.grand_total for r in reps])) / 1e9,
-            float(np.mean([r.reduction_pct for r in reps])))
+    return results, {
+        "flops_g": float(np.mean([r.grand_total for r in reps])) / 1e9,
+        "flops_reduction_pct": float(np.mean([r.reduction_pct for r in reps])),
+        "mean_merges": float(np.mean([tr.total_merges for tr in traces])),
+        "accuracy": _accuracy(results, labels), "wall_time_s": wall}
 
 
 def cmd_run(args) -> int:
@@ -163,33 +164,27 @@ def cmd_run(args) -> int:
     images, _ = data.load_dataset(args.dataset)
     if len(images) == 0:
         raise ValueError("dataset is empty")
-    cfg = _cfg_from_args(args)
+    cfg = _cfg_from_args(args, weights)
     labels = _load_labels(args.labels, len(images)) if args.labels else None
 
-    t0 = time.perf_counter()
-    results = run_dataset(weights, images, cfg, threads=args.threads)
-    wall = time.perf_counter() - t0
-
+    results, row = _measure(weights, images, cfg, args, labels)
     if args.out_csv:
         report.write_run_csv(args.out_csv,
                              [(i, tr) for i, (_, tr) in enumerate(results)])
-    traces = [tr for _, tr in results]
-    mean_merges = float(np.mean([tr.total_merges for tr in traces]))
-    flops_g, reduction = _mean_flops(traces, weights.dims, args.include_overhead)
-    acc = _accuracy(results, labels)
+    acc = row["accuracy"]
     print(f"method={args.method} images={len(images)}")
-    print(f"mean total merges: {mean_merges:.2f}")
-    print(f"FLOPs (mean over images): {flops_g:.3f} G "
-          f"(reduction {reduction:.1f}% vs merge-free)")
+    print(f"mean total merges: {row['mean_merges']:.2f}")
+    print(f"FLOPs (mean over images): {row['flops_g']:.4g} G "
+          f"(reduction {row['flops_reduction_pct']:.1f}% vs merge-free)")
     print(f"accuracy: {'n/a' if acc is None else f'{acc:.4f}'}")
-    print(f"wall time: {wall:.3f} s")
+    print(f"wall time: {row['wall_time_s']:.3f} s")
     return EXIT_OK
 
 
 def parse_config_spec(spec: str):
     """Parse 'method:key=val,key=val' comparison configs."""
     method, _, rest = spec.partition(":")
-    if method not in METHOD_CHOICES:
+    if method not in METHOD_ALIASES:
         raise ValueError(f"unknown method in config {spec!r}")
     opts = {}
     if rest:
@@ -207,7 +202,7 @@ def cmd_compare(args) -> int:
     if len(images) == 0:
         raise ValueError("dataset is empty")
     labels = _load_labels(args.labels, len(images)) if args.labels else None
-    stats = calibration.load_stats(args.stats) if args.stats else None
+    stats = _load_stats(args.stats, weights)
 
     rows = []
     series = {}
@@ -217,19 +212,9 @@ def cmd_compare(args) -> int:
                                alpha=opts.get("alpha", args.alpha),
                                temperature=opts.get("temperature", args.temperature),
                                r=opts.get("r"), r_max=opts.get("r_max"))
-        t0 = time.perf_counter()
-        results = run_dataset(weights, images, cfg, threads=args.threads)
-        wall = time.perf_counter() - t0
-        traces = [tr for _, tr in results]
-        flops_g, reduction = _mean_flops(traces, weights.dims,
-                                         args.include_overhead)
-        mean_merges = float(np.mean([tr.total_merges for tr in traces]))
-        rows.append({"config": spec, "method": method, "flops_g": flops_g,
-                     "flops_reduction_pct": reduction,
-                     "mean_merges": mean_merges,
-                     "accuracy": _accuracy(results, labels),
-                     "wall_time_s": wall})
-        series.setdefault(method, []).append((flops_g, mean_merges))
+        _, row = _measure(weights, images, cfg, args, labels)
+        rows.append({"config": spec, "method": method, **row})
+        series.setdefault(method, []).append((row["flops_g"], row["mean_merges"]))
 
     hdr = (f"{'config':<28} {'FLOPs(G)':>10} {'FLOPs v':>8} "
            f"{'merges':>8} {'acc':>8} {'wall(s)':>8}")
@@ -237,7 +222,7 @@ def cmd_compare(args) -> int:
     print("-" * len(hdr))
     for r in rows:
         acc = "n/a" if r["accuracy"] is None else f"{r['accuracy']:.4f}"
-        print(f"{r['config']:<28} {r['flops_g']:>10.3f} "
+        print(f"{r['config']:<28} {r['flops_g']:>10.4g} "
               f"{r['flops_reduction_pct']:>7.1f}% {r['mean_merges']:>8.1f} "
               f"{acc:>8} {r['wall_time_s']:>8.3f}")
     if args.out_csv:
@@ -256,10 +241,8 @@ def cmd_viz(args) -> int:
         raise ValueError(
             f"image index {args.image_index} out of range (dataset has "
             f"{len(images)} images)")
-    cfg = _cfg_from_args(args, track_maps=True)
-    seq = TokenSequence(cls=np.zeros(weights.dims.d, dtype=np.float32),
-                        patches=images[args.image_index])
-    _, trace = forward_model(seq, weights, cfg)
+    cfg = _cfg_from_args(args, weights, track_maps=True)
+    [(_, trace)] = run_images(weights, [images[args.image_index]], cfg)
     n_tokens = images.shape[1]
     if args.out_svg:
         report.write_merge_map_svg(args.out_svg, trace, n_tokens)
@@ -275,7 +258,7 @@ def cmd_viz(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_schedule_flags(p):
-    p.add_argument("--method", choices=METHOD_CHOICES, default="adamerge")
+    p.add_argument("--method", choices=list(METHOD_ALIASES), default="adamerge")
     p.add_argument("--r", type=int, default=None,
                    help="fixed per-layer merge count")
     p.add_argument("--r-max", type=int, default=None,
@@ -317,7 +300,7 @@ def make_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--passes", type=int, default=2)
-    p.add_argument("--method", choices=METHOD_CHOICES, default="adamerge")
+    p.add_argument("--method", choices=list(METHOD_ALIASES), default="adamerge")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)

@@ -60,4 +60,9 @@ def load_dataset(path: str) -> tuple[np.ndarray, dict]:
         return {f"image_{i:05d}": images[i] for i in range(len(images))}
 
     _, meta = load_archive(path, into=image_rows)
+    for i, img in enumerate(images):  # one image at a time keeps the peak
+        finite = np.isfinite(img).all(axis=1)
+        if not finite.all():
+            raise ArchiveError(f"archive at {path}: image_{i:05d} has a "
+                               f"non-finite value in token row {finite.argmin()}")
     return images, meta

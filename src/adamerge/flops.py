@@ -62,7 +62,6 @@ def trace_flops(trace, dims, include_overhead: bool = False,
     (patches + CLS), so a fixed-r run reproduces the
     N_l = 1 + n0 - r*l schedule of fixed_schedule_lengths.
     """
-    merging = trace.method != "none"
     total = 0
     overhead = 0
     baseline = 0
@@ -71,7 +70,7 @@ def trace_flops(trace, dims, include_overhead: bool = False,
         n_block = rec.n_before + 1  # pre-merge patches + CLS
         total += block_flops(n_block, dims.d, dims.d_ff, flops_per_mac)
         baseline += block_flops(n0 + 1, dims.d, dims.d_ff, flops_per_mac)
-        if merging:
+        if trace.merging:
             overhead += merge_overhead_flops(rec.n_before, dims.d, flops_per_mac)
     return FlopsReport(total=total, overhead=overhead, baseline=baseline,
                        include_overhead=include_overhead)

@@ -18,10 +18,6 @@ class Partition:
     n_a: int
     n_b: int
 
-    @property
-    def n(self) -> int:
-        return self.n_a + self.n_b
-
 
 def partition(n_patch_tokens: int) -> Partition:
     """Split tokens [0, n) into A = first half, B = second half.
@@ -41,7 +37,8 @@ class MergeDecision:
 
     edges: (source index in A, dest index in B, score), one per merged
     A token, sorted by source index. groups maps each dest in B to its
-    sources in A. r equals len(edges) = tokens removed.
+    sources in A. r equals len(edges) = tokens removed. keep_a lists the
+    A tokens that survive, in order.
     """
     n_a: int
     n_b: int
@@ -49,14 +46,16 @@ class MergeDecision:
     edges: list = field(default_factory=list)
     groups: dict = field(default_factory=dict)
     r_clamped: bool = False
+    keep_a: list = field(init=False)
+
+    def __post_init__(self):
+        merged = {src for src, _, _ in self.edges}
+        self.keep_a = [i for i in range(self.n_a) if i not in merged]
 
     @property
     def survivors(self) -> list:
         """Retained token indices: surviving A tokens, then all of B."""
-        merged = {src for src, _, _ in self.edges}
-        out = [i for i in range(self.n_a) if i not in merged]
-        out.extend(range(self.n_a, self.n_a + self.n_b))
-        return out
+        return self.keep_a + list(range(self.n_a, self.n_a + self.n_b))
 
 
 def weighted_scores(xa: np.ndarray, xb: np.ndarray, sa: np.ndarray,
@@ -85,15 +84,12 @@ def select_merges(scores: np.ndarray, r: int,
     tie-break with a seeded random one. r > |A| is clamped and flagged.
     """
     n_a, n_b = scores.shape
-    decision = MergeDecision(n_a=n_a, n_b=n_b)
     if n_a == 0 or n_b == 0:
-        return decision
-    if r > n_a:
-        decision.r_clamped = True
-        r = n_a
-    r = max(r, 0)
+        return MergeDecision(n_a=n_a, n_b=n_b)
+    r_clamped = r > n_a
+    r = max(min(r, n_a), 0)
     if r == 0:
-        return decision
+        return MergeDecision(n_a=n_a, n_b=n_b, r_clamped=r_clamped)
 
     best_j = scores.argmax(axis=1)  # first occurrence wins ties
     best_s = scores[np.arange(n_a), best_j].astype(np.float64)
@@ -102,14 +98,14 @@ def select_merges(scores: np.ndarray, r: int,
     else:
         tie_key = rng.permutation(n_a)
     order = sorted(range(n_a), key=lambda i: (-best_s[i], tie_key[i]))
-    chosen = sorted(order[:r])
 
-    decision.r = r
-    for i in chosen:
+    edges, groups = [], {}
+    for i in sorted(order[:r]):
         j = int(best_j[i])
-        decision.edges.append((i, j, float(best_s[i])))
-        decision.groups.setdefault(j, []).append(i)
-    return decision
+        edges.append((i, j, float(best_s[i])))
+        groups.setdefault(j, []).append(i)
+    return MergeDecision(n_a=n_a, n_b=n_b, r=r, edges=edges, groups=groups,
+                         r_clamped=r_clamped)
 
 
 def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
@@ -157,9 +153,7 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
         new_b_sal[j] = salience[members].max()
         new_b_sizes[j] = sizes[members].sum()
 
-    merged_sources = {src for src, _, _ in decision.edges}
-    keep_a = [i for i in range(n_a) if i not in merged_sources]
-
+    keep_a = decision.keep_a
     out_patches = np.concatenate([patches[keep_a], new_b], axis=0)
     out_salience = np.concatenate([salience[keep_a], new_b_sal])
     out_sizes = np.concatenate([sizes[keep_a], new_b_sizes])

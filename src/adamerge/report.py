@@ -103,7 +103,7 @@ def _heat_color(v: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def merge_map_state(trace, n_tokens: int):
+def merge_map_state(trace):
     """Per-layer survival/salience state of every original token.
 
     Returns (merged_at, salience_by_layer): merged_at maps original token
@@ -125,7 +125,7 @@ def merge_map_state(trace, n_tokens: int):
 
 
 def write_merge_map_csv(path: str, trace, n_tokens: int) -> None:
-    merged_at, sal_layers = merge_map_state(trace, n_tokens)
+    merged_at, sal_layers = merge_map_state(trace)
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["layer", "token", "status", "merged_at_layer", "salience"])
@@ -143,7 +143,7 @@ def write_merge_map_csv(path: str, trace, n_tokens: int) -> None:
 def write_merge_map_svg(path: str, trace, n_tokens: int,
                         cell: int = 9, gap: int = 14) -> None:
     """One row per layer: survival grid (green/red) plus salience heat grid."""
-    merged_at, sal_layers = merge_map_state(trace, n_tokens)
+    merged_at, sal_layers = merge_map_state(trace)
     g = math.ceil(math.sqrt(n_tokens))
     grid_w = g * cell
     width = 120 + 2 * grid_w + 3 * gap

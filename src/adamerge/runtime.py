@@ -7,6 +7,7 @@ import ctypes
 import functools
 import hashlib
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,11 +18,24 @@ from .numeric import DTYPE, gelu, layer_norm, matmul, row_softmax
 from .salience import SalienceVector, salience_of
 from .schedule import LayerStats, ScheduleConfig, r_from_z, redundancy_proxy, zscore
 
-METHODS = ("none", "tome", "adamerge", "sw-only", "adp-only")
+# Method names are aliases for the two knobs of a RunConfig: salience
+# (weighted scores and salience aggregation) and the default schedule
+# kind; "none" runs no merge step at all.
+METHOD_ALIASES = {
+    "none": (False, None),
+    "tome": (False, "fixed"),
+    "adamerge": (True, "adaptive"),
+    "sw-only": (True, "fixed"),
+    "adp-only": (False, "adaptive"),
+}
 
-# which methods weight the matching score by salience / aggregate by salience
-_WEIGHTED_SCORES = {"adamerge", "sw-only"}
-_SALIENCE_AGG = {"adamerge", "sw-only"}
+
+def method_knobs(method: str) -> tuple:
+    """(salience, schedule kind) of a method alias."""
+    if method not in METHOD_ALIASES:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {tuple(METHOD_ALIASES)}")
+    return METHOD_ALIASES[method]
 
 
 @dataclass
@@ -130,7 +144,7 @@ class LayerRecord:
 
 @dataclass
 class RunTrace:
-    method: str
+    merging: bool          # False when the run had no merge step
     layers: list = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -138,23 +152,19 @@ class RunTrace:
     def total_merges(self) -> int:
         return sum(rec.r for rec in self.layers)
 
-    def patch_lengths(self) -> list:
-        """Patch-token count entering each block."""
-        return [rec.n_before - rec.r for rec in self.layers]
-
 
 @dataclass
 class RunConfig:
-    method: str = "adamerge"
-    schedule: ScheduleConfig = field(default_factory=lambda: ScheduleConfig(r_max=0, mode="fixed"))
+    """salience: weight the matching scores and aggregate merges by
+    salience (else plain cosine scores and size-weighted means).
+    schedule: None runs no merge step; an int merges that many tokens per
+    layer; a ScheduleConfig picks r per layer and input from `stats`."""
+    salience: bool = True
+    schedule: int | ScheduleConfig | None = 0
     stats: LayerStats | None = None
     use_raw_salience: bool = False
     tie_break_seed: int | None = None
     track_maps: bool = False
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
 
 def _digest(v: np.ndarray) -> str:
@@ -204,32 +214,29 @@ def _merge_step(seq: TokenSequence, layer: int, cfg: RunConfig,
 
     xa = seq.patches[:part.n_a]
     xb = seq.patches[part.n_a:]
-    uniform = cfg.method not in _WEIGHTED_SCORES
-    scores = weighted_scores(xa, xb, sal_vec[:part.n_a], uniform=uniform)
+    scores = weighted_scores(xa, xb, sal_vec[:part.n_a], uniform=not cfg.salience)
     rec.sbar = redundancy_proxy(scores)
 
     sched = cfg.schedule
-    if sched.mode == "adaptive":
+    if isinstance(sched, ScheduleConfig):
         rec.z = zscore(rec.sbar, cfg.stats, layer, sched.temperature)
         r = r_from_z(rec.z, sched, part.n_a)
     else:
-        r = min(max(sched.fixed_r, 0), part.n_a)
+        r = min(max(sched, 0), part.n_a)
 
     decision = select_merges(scores, r, rng=rng)
     rec.r = decision.r
     rec.r_clamped = decision.r_clamped
     rec.edges = list(decision.edges)
 
-    agg_mode = "adamerge" if cfg.method in _SALIENCE_AGG else "tome"
     patches, sal_out, sizes, fallback = execute_merge(
-        seq.patches, sal_vec, seq.sizes, decision, mode=agg_mode)
+        seq.patches, sal_vec, seq.sizes, decision,
+        mode="adamerge" if cfg.salience else "tome")
     rec.mean_fallback = fallback
 
     # original-token bookkeeping for merge maps
-    merged_sources = sorted({src for src, _, _ in decision.edges})
-    rec.merged_reps = [reps[i] for i in merged_sources]
-    keep_a = [i for i in range(part.n_a) if i not in set(merged_sources)]
-    reps[:] = [reps[i] for i in keep_a] + reps[part.n_a:]
+    rec.merged_reps = [reps[src] for src, _, _ in decision.edges]
+    reps[:] = [reps[i] for i in decision.keep_a] + reps[part.n_a:]
 
     seq.patches = patches
     seq.salience = None  # stale after merging; recomputed at the next layer
@@ -246,11 +253,11 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
                   cfg: RunConfig) -> tuple[np.ndarray, RunTrace]:
     """Full forward pass with the merge hook before each block.
 
-    Returns (logits, trace). method="none" skips merging entirely and is
+    Returns (logits, trace). schedule=None skips merging entirely and is
     the vanilla ViT forward.
     """
     dims = weights.dims
-    if cfg.schedule.mode == "adaptive" and cfg.method not in ("none",):
+    if isinstance(cfg.schedule, ScheduleConfig):
         if cfg.stats is None:
             raise ValueError(
                 "adaptive schedule requires calibrated stats; "
@@ -267,10 +274,10 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
                         patches=seq_in.patches.copy(),
                         sizes=seq_in.sizes.copy())
     reps = list(range(seq.patches.shape[0]))
-    trace = RunTrace(method=cfg.method)
+    trace = RunTrace(merging=cfg.schedule is not None)
 
     for l, block in enumerate(weights.blocks):
-        if cfg.method == "none":
+        if not trace.merging:
             rec = LayerRecord(layer=l, n_before=seq.patches.shape[0],
                               n_after=seq.patches.shape[0], r=0,
                               sbar=0.0, z=0.0, raw_salience_sum=0.0)
@@ -290,6 +297,21 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
     logits = matmul(final, weights.w_head)[0] + weights.b_head.astype(DTYPE)
     trace.wall_time = time.perf_counter() - t0
     return logits, trace
+
+
+def run_images(weights: ModelWeights, images, cfg: RunConfig,
+               threads: int = 1) -> list:
+    """Forward each [N, d] image with a zero CLS token; returns one
+    (logits, trace) per image, in image order whatever the thread count."""
+    def one(patches):
+        seq = TokenSequence(cls=np.zeros(weights.dims.d, dtype=np.float32),
+                            patches=np.asarray(patches, dtype=np.float32))
+        return forward_model(seq, weights, cfg)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, images))
+    return [one(img) for img in images]
 
 
 def synth_weights(seed: int, dims: ModelDims) -> ModelWeights:

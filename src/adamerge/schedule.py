@@ -2,7 +2,7 @@
 # best-match score) is standardized by calibrated per-layer statistics and
 # squashed through a sigmoid to pick r in [0, r_max].
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,19 +11,16 @@ SIGMA_FLOOR = 1e-6
 
 @dataclass
 class ScheduleConfig:
+    """The adaptive schedule: r = floor(r_max * sigmoid(alpha * z / T))."""
     r_max: int
     alpha: float = 1.0        # gain on the z-score inside the sigmoid
     temperature: float = 1.0  # z <- z / T; smaller T sharpens the decision
-    mode: str = "adaptive"    # "adaptive" or "fixed"
-    fixed_r: int = 0          # used when mode == "fixed"
 
     def __post_init__(self):
         if self.r_max < 0:
             raise ValueError(f"r_max must be >= 0, got {self.r_max}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.mode not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown schedule mode: {self.mode}")
 
 
 @dataclass

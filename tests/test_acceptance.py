@@ -14,7 +14,7 @@ from adamerge.cli import main
 from adamerge.flops import fixed_schedule_lengths, model_flops
 from adamerge.matcher import reconstruction_gap, select_merges
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
-                              forward_model, synth_weights)
+                              forward_model, method_knobs, synth_weights)
 from adamerge.schedule import LayerStats, ScheduleConfig, decide_r
 
 from test_matcher import brute_force_select
@@ -25,9 +25,8 @@ def ok(n, msg):
 
 
 def fixed_cfg(method, r):
-    return RunConfig(method=method,
-                     schedule=ScheduleConfig(r_max=max(r, 0), mode="fixed",
-                                             fixed_r=r))
+    salience, kind = method_knobs(method)
+    return RunConfig(salience=salience, schedule=None if kind is None else r)
 
 
 def test_criterion_1_table1_flops_reduction():
@@ -118,7 +117,7 @@ def _ledger_check(trace, n0):
     for rec in trace.layers:
         assert rec.n_before == n
         assert rec.n_after == rec.n_before - rec.r
-        if trace.method != "none":
+        if trace.merging:
             assert rec.sizes_total == n0
             assert rec.cls_digest_pre == rec.cls_digest_post != ""
             assert abs(rec.raw_salience_sum - rec.n_before) <= \
@@ -135,11 +134,9 @@ def test_criterion_4_conservation_ledger():
     stats = calibration.refine(w, images, r_max=6, passes=2)
     configs = [fixed_cfg("none", 0), fixed_cfg("tome", 3),
                fixed_cfg("adamerge", 3), fixed_cfg("sw-only", 2),
-               RunConfig(method="adamerge",
-                         schedule=ScheduleConfig(r_max=6, mode="adaptive"),
+               RunConfig(salience=True, schedule=ScheduleConfig(r_max=6),
                          stats=stats),
-               RunConfig(method="adp-only",
-                         schedule=ScheduleConfig(r_max=6, mode="adaptive"),
+               RunConfig(salience=False, schedule=ScheduleConfig(r_max=6),
                          stats=stats)]
     runs = 0
     for cfg in configs:
@@ -161,8 +158,7 @@ def test_criterion_5_adaptive_behavior():
         data.synth_images(1, 64, 32, float(rng.uniform()), seed=5000 + i)
         for i in range(32)])
     stats = calibration.refine(w, cal, r_max=8, passes=2)
-    cfg = RunConfig(method="adamerge",
-                    schedule=ScheduleConfig(r_max=8, mode="adaptive"),
+    cfg = RunConfig(salience=True, schedule=ScheduleConfig(r_max=8),
                     stats=stats)
 
     def mean_merges(rho, seed):

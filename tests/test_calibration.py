@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adamerge import calibration, data
-from adamerge.runtime import ModelDims, synth_weights
+from adamerge.runtime import ModelDims, run_images, synth_weights
 from adamerge.schedule import SIGMA_FLOOR, LayerStats
 
 
@@ -27,8 +27,7 @@ class TestCollectPass:
 
     def test_bootstrap_uses_half_budget(self, small_model, cal_images):
         cfg = calibration._run_config(6, 1.0, 1.0, "adamerge", None)
-        assert cfg.schedule.mode == "fixed"
-        assert cfg.schedule.fixed_r == 3
+        assert cfg.schedule == 3
 
     def test_identical_images_identical_samples(self, small_model, cal_images):
         img = cal_images[0]
@@ -171,3 +170,17 @@ class TestPersistence:
         p.write_text("{not json")
         with pytest.raises(json.JSONDecodeError):
             calibration.load_stats(p)
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("method", ["adamerge", "tome"])
+    def test_samples_are_run_images_sbar(self, small_model, cal_images, method):
+        stats = calibration.refine(small_model, cal_images, r_max=6, passes=1,
+                                   method=method)
+        for s in (None, stats):
+            samples = calibration.collect_pass(small_model, cal_images, r_max=6,
+                                               method=method, stats=s)
+            cfg = calibration._run_config(6, 1.0, 1.0, method, s)
+            want = [[rec.sbar for rec in tr.layers]
+                    for _, tr in run_images(small_model, cal_images, cfg)]
+            assert samples.tobytes() == np.asarray(want).T.tobytes()

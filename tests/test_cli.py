@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from adamerge import calibration, data, flops
-from adamerge.cli import build_run_config, main, parse_config_spec, run_dataset
-from adamerge.runtime import load_weights
+from adamerge.cli import build_run_config, main, parse_config_spec
+from adamerge.runtime import load_weights, run_images
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ class TestRun:
         assert main(["run", "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--method", "adamerge", "--r-max",
                      "6", "--stats", workspace["stats"]]) == 0
-        shown = re.search(r"FLOPs \(mean over images\): ([\d.]+) G "
+        shown = re.search(r"FLOPs \(mean over images\): ([\d.e+-]+) G "
                           r"\(reduction ([\d.]+)%", capsys.readouterr().out)
         assert shown
 
@@ -91,13 +91,15 @@ class TestRun:
         cfg = build_run_config("adamerge", r_max=6,
                                stats=calibration.load_stats(workspace["stats"]))
         reps = [flops.trace_flops(tr, weights.dims)
-                for _, tr in run_dataset(weights, images, cfg)]
+                for _, tr in run_images(weights, images, cfg)]
         mean_reduction = f"{np.mean([r.reduction_pct for r in reps]):.1f}"
         # adaptive r differs per image, so the first image is not the mean
         assert f"{reps[0].reduction_pct:.1f}" != mean_reduction
         assert shown.group(2) == mean_reduction
+        # a CLI-scale model is well under 0.001 GFLOPs; it must not print 0
+        assert float(shown.group(1)) > 0
         assert shown.group(1) == \
-            f"{np.mean([r.grand_total for r in reps]) / 1e9:.3f}"
+            f"{np.mean([r.grand_total for r in reps]) / 1e9:.4g}"
 
     def test_rerun_csv_byte_identical(self, workspace, tmp_path):
         outs = []
@@ -207,3 +209,49 @@ class TestExitCodes:
         assert main(["run", "--weights", str(tmp_path / "nope"),
                      "--dataset", str(tmp_path / "nope2"),
                      "--method", "none"]) == 2
+
+    def test_stats_from_another_model_is_data_error(self, workspace, tmp_path,
+                                                    capsys):
+        other = str(tmp_path / "other")
+        assert main(["synth-weights", "--dim", "16", "--heads", "2", "--d-ff",
+                     "32", "--layers", "4", "--classes", "5", "--seed", "9",
+                     "--out", other]) == 0
+        base = ["--weights", other, "--dataset", workspace["dataset"],
+                "--stats", workspace["stats"]]
+        for argv in (["run", *base, "--method", "adamerge", "--r-max", "6"],
+                     ["compare", *base, "--config", "adamerge:r_max=6"],
+                     ["viz", *base, "--method", "tome", "--r", "2"]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "'synth-3'" in err and "'synth-9'" in err, err
+
+    def test_non_finite_token_is_data_error(self, workspace, tmp_path, capsys):
+        images, _ = data.load_dataset(workspace["dataset"])
+        images = images.copy()
+        images[2, 5, 7] = np.nan
+        bad = str(tmp_path / "bad")
+        data.save_dataset(bad, images)
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     bad, "--method", "tome", "--r", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "image_00002" in err and "token row 5" in err, err
+
+
+class TestAliases:
+    @pytest.mark.parametrize("alias,base", [("adamerge", "sw-only"),
+                                            ("adp-only", "tome")])
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_fixed_r_alias_is_the_same_run(self, workspace, alias, base, r):
+        a = build_run_config(alias, r=r)
+        b = build_run_config(base, r=r)
+        assert a == b
+        weights = load_weights(workspace["weights"])
+        images, _ = data.load_dataset(workspace["dataset"])
+        for (la, ta), (lb, tb) in zip(run_images(weights, images, a),
+                                      run_images(weights, images, b)):
+            assert la.tobytes() == lb.tobytes()
+            assert [(rec.r, rec.edges, rec.sbar, rec.merged_reps)
+                    for rec in ta.layers] == \
+                [(rec.r, rec.edges, rec.sbar, rec.merged_reps)
+                 for rec in tb.layers]

@@ -5,8 +5,7 @@ from adamerge import data
 from adamerge.flops import (block_flops, fixed_schedule_lengths,
                             merge_overhead_flops, model_flops, trace_flops)
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
-                              forward_model, synth_weights)
-from adamerge.schedule import ScheduleConfig
+                              forward_model, method_knobs, synth_weights)
 
 TABLE1_REDUCTIONS = {3: 8.7, 4: 11.6, 5: 14.4, 6: 17.3, 7: 20.1, 8: 23.0}
 
@@ -43,9 +42,8 @@ class TestTraceFlops:
         w = synth_weights(1, dims)
         img = data.synth_images(1, 196, 16, 0.4, seed=3)[0]
         seq = TokenSequence(cls=np.zeros(16, np.float32), patches=img)
-        cfg = RunConfig(method=method,
-                        schedule=ScheduleConfig(r_max=max(r, 0), mode="fixed",
-                                                fixed_r=r))
+        salience, kind = method_knobs(method)
+        cfg = RunConfig(salience=salience, schedule=None if kind is None else r)
         _, trace = forward_model(seq, w, cfg)
         return trace, dims
 

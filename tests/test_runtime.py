@@ -6,7 +6,8 @@ from adamerge import calibration, data
 from adamerge.archive import ArchiveError
 from adamerge.runtime import (BlockWeights, ModelDims, RunConfig,
                               TokenSequence, forward_block, forward_model,
-                              load_weights, save_weights, synth_weights)
+                              load_weights, method_knobs, save_weights,
+                              synth_weights)
 from adamerge.schedule import ScheduleConfig
 
 
@@ -23,9 +24,8 @@ def zero_block(d, d_ff):
 
 
 def fixed_cfg(method, r):
-    return RunConfig(method=method,
-                     schedule=ScheduleConfig(r_max=max(r, 0), mode="fixed",
-                                             fixed_r=r))
+    salience, kind = method_knobs(method)
+    return RunConfig(salience=salience, schedule=None if kind is None else r)
 
 
 class TestForwardBlock:
@@ -111,16 +111,14 @@ class TestForwardModel:
                 1e-5 * rec.n_before
 
     def test_adaptive_requires_stats(self, model, image):
-        cfg = RunConfig(method="adamerge",
-                        schedule=ScheduleConfig(r_max=6, mode="adaptive"))
+        cfg = RunConfig(salience=True, schedule=ScheduleConfig(r_max=6))
         with pytest.raises(ValueError, match="calibration"):
             forward_model(make_seq(image), model, cfg)
 
     def test_adaptive_rerun_identical(self, model):
         images = data.synth_images(6, 24, 16, 0.5, seed=7)
         stats = calibration.refine(model, images, r_max=6, passes=2)
-        cfg = RunConfig(method="adamerge",
-                        schedule=ScheduleConfig(r_max=6, mode="adaptive"),
+        cfg = RunConfig(salience=True, schedule=ScheduleConfig(r_max=6),
                         stats=stats)
         out = []
         for _ in range(2):
