@@ -19,10 +19,12 @@ _STATS_KEYS = {"version", "model_id", "num_layers", "r_max", "alpha",
 def _run_config(r_max: int, alpha: float, temperature: float,
                 method: str, stats: LayerStats | None) -> RunConfig:
     salience, kind = method_knobs(method)
+    if kind is None:
+        raise ValueError(
+            f"method {method!r} runs no merge step, so it has no redundancy "
+            "statistics to calibrate")
     # built for every pass so that a bad r_max fails before the bootstrap
     adaptive = ScheduleConfig(r_max=r_max, alpha=alpha, temperature=temperature)
-    if kind is None:
-        return RunConfig(salience=salience, schedule=None)
     if stats is None:
         return RunConfig(salience=salience, schedule=r_max // 2)
     return RunConfig(salience=salience, schedule=adaptive, stats=stats)

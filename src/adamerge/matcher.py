@@ -97,10 +97,11 @@ def select_merges(scores: np.ndarray, r: int,
         tie_key = np.arange(n_a)
     else:
         tie_key = rng.permutation(n_a)
-    order = sorted(range(n_a), key=lambda i: (-best_s[i], tie_key[i]))
+    # score descending, then tie key ascending; the keys are unique
+    order = np.lexsort((tie_key, -best_s))
 
     edges, groups = [], {}
-    for i in sorted(order[:r]):
+    for i in sorted(order[:r].tolist()):
         j = int(best_j[i])
         edges.append((i, j, float(best_s[i])))
         groups.setdefault(j, []).append(i)

@@ -2,7 +2,8 @@
 #
 # Convention: float32 storage, float64 accumulation. Summation order is
 # numpy's, which is fixed on a given platform, so repeated runs produce
-# bit-identical results.
+# bit-identical results. The row-wise kernels make one float64 copy of
+# their input, work on it in place and round to float32 once, on return.
 
 import numpy as np
 from scipy.special import erf
@@ -18,15 +19,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(DTYPE)
+    return (a.astype(np.float64, copy=False)
+            @ b.astype(np.float64, copy=False)).astype(DTYPE)
 
 
 def row_softmax(m: np.ndarray) -> np.ndarray:
     """Softmax over each row, with per-row max subtraction for stability."""
-    m64 = m.astype(np.float64)
-    m64 = m64 - m64.max(axis=1, keepdims=True)
-    e = np.exp(m64)
-    return (e / e.sum(axis=1, keepdims=True)).astype(DTYPE)
+    e = m.astype(np.float64)
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e.astype(DTYPE)
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,15 +56,24 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         raise ValueError(
             f"layer_norm param mismatch: x has {x.shape[1]} cols, "
             f"gamma {gamma.shape[0]}, beta {beta.shape[0]}")
-    x64 = x.astype(np.float64)
-    mu = x64.mean(axis=1, keepdims=True)
-    var = x64.var(axis=1, keepdims=True)
-    normed = (x64 - mu) / np.sqrt(var + eps)
-    out = normed * gamma.astype(np.float64) + beta.astype(np.float64)
-    return out.astype(DTYPE)
+    # mean and population variance as np.mean / np.var compute them
+    # (row sum over n), with the rows centred once and in place
+    n = x.shape[1]
+    xc = x.astype(np.float64)
+    xc -= xc.sum(axis=1, keepdims=True) / n
+    var = (xc * xc).sum(axis=1, keepdims=True) / n
+    xc /= np.sqrt(var + eps)
+    xc *= gamma.astype(np.float64)
+    xc += beta.astype(np.float64)
+    return xc.astype(DTYPE)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact-erf GELU (not the tanh approximation)."""
     x64 = x.astype(np.float64)
-    return (0.5 * x64 * (1.0 + erf(x64 / _SQRT2))).astype(DTYPE)
+    t = x64 / _SQRT2
+    erf(t, out=t)
+    t += 1.0
+    x64 *= 0.5
+    x64 *= t
+    return x64.astype(DTYPE)

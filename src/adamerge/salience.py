@@ -26,7 +26,7 @@ def compute_salience(x: np.ndarray) -> np.ndarray:
     sums to N because each softmax row carries total mass 1.
     """
     affinity = row_softmax(matmul(x, x.T))
-    return affinity.astype(np.float64).sum(axis=0)
+    return affinity.sum(axis=0, dtype=np.float64)
 
 
 def minmax_normalize(raw: np.ndarray) -> np.ndarray:

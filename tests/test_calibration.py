@@ -106,6 +106,10 @@ class TestRefine:
         with pytest.raises(ValueError):
             calibration.refine(small_model, cal_images, r_max=6, passes=0)
 
+    def test_method_without_merge_step_rejected(self, small_model, cal_images):
+        with pytest.raises(ValueError, match="'none'"):
+            calibration.refine(small_model, cal_images, r_max=6, method="none")
+
 
 class TestPersistence:
     def make_stats(self):

@@ -238,6 +238,35 @@ class TestExitCodes:
         assert "image_00002" in err and "token row 5" in err, err
 
 
+class TestRejectedSchedules:
+    def test_calibrate_none_is_data_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        assert main(["calibrate", "--weights", workspace["weights"],
+                     "--dataset", workspace["dataset"], "--r-max", "6",
+                     "--method", "none", "--out", str(out)]) == 2
+        assert "'none'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_r_is_data_error(self, workspace, capsys):
+        base = ["--weights", workspace["weights"], "--dataset",
+                workspace["dataset"]]
+        for argv in (["run", *base, "--method", "tome", "--r", "-3"],
+                     ["compare", *base, "--config", "tome:r=-1"],
+                     ["viz", *base, "--method", "adamerge", "--r", "-1"]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv[0]
+            assert "r=-" in capsys.readouterr().err, argv[0]
+
+    def test_r_zero_still_runs_the_merge_step(self, workspace):
+        weights = load_weights(workspace["weights"])
+        images, _ = data.load_dataset(workspace["dataset"])
+        [(_, trace)] = run_images(weights, images[:1],
+                                  build_run_config("tome", r=0))
+        assert trace.merging and trace.total_merges == 0
+        assert all(rec.sbar != 0.0 and rec.cls_digest_post != ""
+                   for rec in trace.layers)
+
+
 class TestAliases:
     @pytest.mark.parametrize("alias,base", [("adamerge", "sw-only"),
                                             ("adp-only", "tome")])

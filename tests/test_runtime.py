@@ -115,6 +115,11 @@ class TestForwardModel:
         with pytest.raises(ValueError, match="calibration"):
             forward_model(make_seq(image), model, cfg)
 
+    def test_negative_fixed_r_rejected(self):
+        with pytest.raises(ValueError, match="r=-1"):
+            RunConfig(salience=False, schedule=-1)
+        assert RunConfig(salience=False, schedule=0).schedule == 0
+
     def test_adaptive_rerun_identical(self, model):
         images = data.synth_images(6, 24, 16, 0.5, seed=7)
         stats = calibration.refine(model, images, r_max=6, passes=2)
