@@ -59,6 +59,10 @@ def build_run_config(method: str, *, r: int | None = None,
         raise ValueError(
             f"method {method} needs calibrated stats; run `adamerge "
             "calibrate` first or pass --r for a fixed schedule")
+    for name in ("r_max", "alpha", "temperature"):
+        if getattr(sched, name) != getattr(stats, name):
+            print(f"warning: {name}={getattr(sched, name)} differs from the "
+                  f"stats' {name}={getattr(stats, name)}", file=sys.stderr)
     return RunConfig(salience=salience, schedule=sched, stats=stats,
                      track_maps=track_maps)
 

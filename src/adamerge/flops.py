@@ -1,5 +1,5 @@
-# Analytic FLOPs accounting over a run trace, in MACs by default
-# (1 MAC = 1 FLOP; pass flops_per_mac=2 for the multiply+add convention).
+# Analytic FLOPs accounting over a run trace, in MACs (1 MAC = 1 FLOP;
+# double every figure for the multiply+add convention).
 # Per block over n tokens: qkv + output projections 4*n*d^2, attention
 # score + value 2*n^2*d, MLP 2*n*d*d_ff. The merge overhead (affinity
 # matrix over the patch tokens, n_patch^2*d) is counted once per layer
@@ -24,21 +24,20 @@ class FlopsReport:
         return 100.0 * (1.0 - self.grand_total / self.baseline)
 
 
-def block_flops(n_tokens: int, d: int, d_ff: int, flops_per_mac: int = 1) -> int:
+def block_flops(n_tokens: int, d: int, d_ff: int) -> int:
     """Core MACs of one transformer block over n_tokens tokens."""
     n = n_tokens
-    macs = 4 * n * d * d + 2 * n * n * d + 2 * n * d * d_ff
-    return macs * flops_per_mac
+    return 4 * n * d * d + 2 * n * n * d + 2 * n * d * d_ff
 
 
-def merge_overhead_flops(n_patch: int, d: int, flops_per_mac: int = 1) -> int:
+def merge_overhead_flops(n_patch: int, d: int) -> int:
     """Affinity-matrix cost of one merge step over n_patch patch tokens."""
-    return n_patch * n_patch * d * flops_per_mac
+    return n_patch * n_patch * d
 
 
-def model_flops(token_lengths, d: int, d_ff: int, flops_per_mac: int = 1) -> int:
+def model_flops(token_lengths, d: int, d_ff: int) -> int:
     """Sum of block costs for a per-layer token-length schedule."""
-    return sum(block_flops(n, d, d_ff, flops_per_mac) for n in token_lengths)
+    return sum(block_flops(n, d, d_ff) for n in token_lengths)
 
 
 def fixed_schedule_lengths(n_patch0: int, r: int, layers: int,
@@ -54,8 +53,7 @@ def fixed_schedule_lengths(n_patch0: int, r: int, layers: int,
     return [max(n_patch0 - r * l, 0) + extra for l in range(layers)]
 
 
-def trace_flops(trace, dims, include_overhead: bool = False,
-                flops_per_mac: int = 1) -> FlopsReport:
+def trace_flops(trace, dims, include_overhead: bool = False) -> FlopsReport:
     """FLOPs of an actual run versus its merge-free baseline.
 
     Each layer is charged at the sequence length entering its merge step
@@ -68,9 +66,9 @@ def trace_flops(trace, dims, include_overhead: bool = False,
     n0 = trace.layers[0].n_before if trace.layers else 0
     for rec in trace.layers:
         n_block = rec.n_before + 1  # pre-merge patches + CLS
-        total += block_flops(n_block, dims.d, dims.d_ff, flops_per_mac)
-        baseline += block_flops(n0 + 1, dims.d, dims.d_ff, flops_per_mac)
+        total += block_flops(n_block, dims.d, dims.d_ff)
+        baseline += block_flops(n0 + 1, dims.d, dims.d_ff)
         if trace.merging:
-            overhead += merge_overhead_flops(rec.n_before, dims.d, flops_per_mac)
+            overhead += merge_overhead_flops(rec.n_before, dims.d)
     return FlopsReport(total=total, overhead=overhead, baseline=baseline,
                        include_overhead=include_overhead)

@@ -1,7 +1,8 @@
 # Bipartite soft matching over a sequential index split:
 # score each A token against every B token, link each A token to its best
-# B token, merge the top-r links. Aggregation is salience-proportional
-# (adamerge mode) or size-weighted (tome mode, the uniform baseline).
+# B token, merge the top-r links. Scores and group means are weighted by
+# the vectors the caller passes: salience for adamerge, none (plain
+# cosine) and token sizes for the ToMe baseline.
 
 from dataclasses import dataclass, field
 
@@ -58,30 +59,27 @@ class MergeDecision:
         return self.keep_a + list(range(self.n_a, self.n_a + self.n_b))
 
 
-def weighted_scores(xa: np.ndarray, xb: np.ndarray, sa: np.ndarray,
-                    uniform: bool = False) -> np.ndarray:
+def weighted_scores(xa: np.ndarray, xb: np.ndarray,
+                    sa: np.ndarray | None) -> np.ndarray:
     """Matching score S[i][j] = sa[i] * cos(xa_i, xb_j).
 
-    uniform=True drops the salience factor, recovering the plain-cosine
-    ToMe baseline.
+    sa=None gives the plain cosine scores of the ToMe baseline.
     """
-    if len(sa) != xa.shape[0]:
+    if sa is not None and len(sa) != xa.shape[0]:
         raise ValueError(
             f"salience length {len(sa)} != |A| = {xa.shape[0]}")
     cos = cosine_matrix(xa, xb)
-    if uniform:
+    if sa is None:
         return cos
     return (sa.astype(np.float64)[:, None] * cos.astype(np.float64)).astype(DTYPE)
 
 
-def select_merges(scores: np.ndarray, r: int,
-                  rng: np.random.Generator | None = None) -> MergeDecision:
+def select_merges(scores: np.ndarray, r: int) -> MergeDecision:
     """Pick the r best per-row-argmax edges.
 
     Each A row's candidate is its highest-scoring B column (ties to the
     lower column). The r candidates with the largest scores win; score
-    ties go to the lower source index. Passing an rng replaces the index
-    tie-break with a seeded random one. r > |A| is clamped and flagged.
+    ties go to the lower source index. r > |A| is clamped and flagged.
     """
     n_a, n_b = scores.shape
     if n_a == 0 or n_b == 0:
@@ -93,12 +91,8 @@ def select_merges(scores: np.ndarray, r: int,
 
     best_j = scores.argmax(axis=1)  # first occurrence wins ties
     best_s = scores[np.arange(n_a), best_j].astype(np.float64)
-    if rng is None:
-        tie_key = np.arange(n_a)
-    else:
-        tie_key = rng.permutation(n_a)
-    # score descending, then tie key ascending; the keys are unique
-    order = np.lexsort((tie_key, -best_s))
+    # score descending; the stable sort keeps tied rows in index order
+    order = np.argsort(-best_s, kind="stable")
 
     edges, groups = [], {}
     for i in sorted(order[:r].tolist()):
@@ -110,20 +104,18 @@ def select_merges(scores: np.ndarray, r: int,
 
 
 def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
-                  decision: MergeDecision, mode: str = "adamerge"):
+                  decision: MergeDecision, weights: np.ndarray):
     """Apply a MergeDecision to the token arrays.
 
-    adamerge mode: group feature = salience-weighted mean over dest plus
-    sources, merged salience = group max. tome mode: size-weighted mean.
-    Both modes: sizes add, unmerged tokens pass through bit-identically,
-    output order is surviving A tokens then B tokens (original order).
+    Group feature = `weights`-weighted mean over dest plus sources (the
+    salience for adamerge, the sizes for ToMe), merged salience = group
+    max, sizes add. Unmerged tokens pass through bit-identically; output
+    order is surviving A tokens then B tokens (original order).
 
     Returns (patches, salience, sizes, mean_fallback) where mean_fallback
     reports that some group had zero total weight and fell back to the
     arithmetic mean.
     """
-    if mode not in ("adamerge", "tome"):
-        raise ValueError(f"unknown merge mode: {mode}")
     n_a = decision.n_a
     n = patches.shape[0]
     if n != n_a + decision.n_b:
@@ -132,6 +124,7 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
 
     salience = np.asarray(salience, dtype=np.float64).copy()
     sizes = np.asarray(sizes, dtype=np.int64).copy()
+    weights = np.asarray(weights, dtype=np.float64)
     new_b = patches[n_a:].copy()
     new_b_sal = salience[n_a:].copy()
     new_b_sizes = sizes[n_a:].copy()
@@ -140,10 +133,7 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
     for j, sources in decision.groups.items():
         members = [n_a + j] + list(sources)
         feats = patches[members].astype(np.float64)
-        if mode == "adamerge":
-            w = salience[members]
-        else:
-            w = sizes[members].astype(np.float64)
+        w = weights[members]
         wsum = w.sum()
         if wsum <= ZERO_WEIGHT_EPS:
             mean_fallback = True

@@ -6,16 +6,15 @@
 import ctypes
 import functools
 import hashlib
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
 from . import archive
 from .matcher import execute_merge, partition, select_merges, weighted_scores
 from .numeric import DTYPE, gelu, layer_norm, matmul, row_softmax
-from .salience import SalienceVector, salience_of
+from .salience import salience_of
 from .schedule import LayerStats, ScheduleConfig, r_from_z, redundancy_proxy, zscore
 
 # Method names are aliases for the two knobs of a RunConfig: salience
@@ -82,20 +81,29 @@ def _keep_temporaries_on_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_BLOCK_MAX)
 
 
-@dataclass
-class BlockWeights:
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    w_qkv: np.ndarray   # [d, 3d]
-    b_qkv: np.ndarray
-    w_proj: np.ndarray  # [d, d]
-    b_proj: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    w_fc1: np.ndarray   # [d, d_ff]
-    b_fc1: np.ndarray
-    w_fc2: np.ndarray   # [d_ff, d]
-    b_fc2: np.ndarray
+# The weight layout, written once. One block's tensors by field name (its
+# archive name after "blockLL."), in field and archive order, and the
+# model-level tensors by archive name with their ModelWeights field. A
+# shape names sizes of ModelDims; synth_weights draws the "w_" matrices
+# in this order.
+BLOCK_LAYOUT = {
+    "ln1_gamma": ("d",), "ln1_beta": ("d",),
+    "w_qkv": ("d", "3d"), "b_qkv": ("3d",),
+    "w_proj": ("d", "d"), "b_proj": ("d",),
+    "ln2_gamma": ("d",), "ln2_beta": ("d",),
+    "w_fc1": ("d", "d_ff"), "b_fc1": ("d_ff",),
+    "w_fc2": ("d_ff", "d"), "b_fc2": ("d",),
+}
+HEAD_LAYOUT = {
+    "final.gamma": ("final_gamma", ("d",)),
+    "final.beta": ("final_beta", ("d",)),
+    "head.weight": ("w_head", ("d", "n_classes")),
+    "head.bias": ("b_head", ("n_classes",)),
+}
+
+BlockWeights = make_dataclass(
+    "BlockWeights", [(name, np.ndarray) for name in BLOCK_LAYOUT],
+    namespace={"__module__": __name__})
 
 
 @dataclass
@@ -113,7 +121,6 @@ class ModelWeights:
 class TokenSequence:
     cls: np.ndarray       # [d]
     patches: np.ndarray   # [N, d]
-    salience: SalienceVector | None = None
     sizes: np.ndarray | None = None
 
     def __post_init__(self):
@@ -146,7 +153,6 @@ class LayerRecord:
 class RunTrace:
     merging: bool          # False when the run had no merge step
     layers: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def total_merges(self) -> int:
@@ -162,8 +168,6 @@ class RunConfig:
     salience: bool = True
     schedule: int | ScheduleConfig | None = 0
     stats: LayerStats | None = None
-    use_raw_salience: bool = False
-    tie_break_seed: int | None = None
     track_maps: bool = False
 
     def __post_init__(self):
@@ -213,12 +217,10 @@ def forward_block(tokens: np.ndarray, block: BlockWeights, dims: ModelDims) -> n
 
 
 def _merge_step(seq: TokenSequence, layer: int, cfg: RunConfig,
-                reps: list, rng) -> LayerRecord:
+                reps: list) -> LayerRecord:
     """Run salience/partition/score/select/merge in place on seq."""
     n = seq.patches.shape[0]
     sal = salience_of(seq.patches)
-    seq.salience = sal
-    sal_vec = sal.raw if cfg.use_raw_salience else sal.normalized
 
     part = partition(n)
     rec = LayerRecord(layer=layer, n_before=n, n_after=n, r=0, sbar=0.0,
@@ -228,9 +230,13 @@ def _merge_step(seq: TokenSequence, layer: int, cfg: RunConfig,
         rec.empty_b = True
         return rec
 
-    xa = seq.patches[:part.n_a]
-    xb = seq.patches[part.n_a:]
-    scores = weighted_scores(xa, xb, sal_vec[:part.n_a], uniform=not cfg.salience)
+    # the only difference between the two settings: which vectors weight
+    # the scores (salience or none) and the group means (salience or sizes)
+    if cfg.salience:
+        score_w, merge_w = sal.normalized[:part.n_a], sal.normalized
+    else:
+        score_w, merge_w = None, seq.sizes
+    scores = weighted_scores(seq.patches[:part.n_a], seq.patches[part.n_a:], score_w)
     rec.sbar = redundancy_proxy(scores)
 
     sched = cfg.schedule
@@ -238,16 +244,15 @@ def _merge_step(seq: TokenSequence, layer: int, cfg: RunConfig,
         rec.z = zscore(rec.sbar, cfg.stats, layer, sched.temperature)
         r = r_from_z(rec.z, sched, part.n_a)
     else:
-        r = min(sched, part.n_a)
+        r = sched
 
-    decision = select_merges(scores, r, rng=rng)
+    decision = select_merges(scores, r)
     rec.r = decision.r
     rec.r_clamped = decision.r_clamped
     rec.edges = list(decision.edges)
 
     patches, sal_out, sizes, fallback = execute_merge(
-        seq.patches, sal_vec, seq.sizes, decision,
-        mode="adamerge" if cfg.salience else "tome")
+        seq.patches, sal.normalized, seq.sizes, decision, merge_w)
     rec.mean_fallback = fallback
 
     # original-token bookkeeping for merge maps
@@ -255,7 +260,6 @@ def _merge_step(seq: TokenSequence, layer: int, cfg: RunConfig,
     reps[:] = [reps[i] for i in decision.keep_a] + reps[part.n_a:]
 
     seq.patches = patches
-    seq.salience = None  # stale after merging; recomputed at the next layer
     seq.sizes = sizes
     rec.n_after = patches.shape[0]
     rec.sizes_total = int(sizes.sum())
@@ -283,9 +287,6 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
                 f"stats cover {cfg.stats.num_layers} layers, model has {dims.layers}")
 
     _keep_temporaries_on_heap()
-    t0 = time.perf_counter()
-    rng = (np.random.default_rng(cfg.tie_break_seed)
-           if cfg.tie_break_seed is not None else None)
     seq = TokenSequence(cls=seq_in.cls.copy(),
                         patches=seq_in.patches.copy(),
                         sizes=seq_in.sizes.copy())
@@ -299,7 +300,7 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
                               sbar=0.0, z=0.0, raw_salience_sum=0.0)
         else:
             pre = _digest(seq.cls)
-            rec = _merge_step(seq, l, cfg, reps, rng)
+            rec = _merge_step(seq, l, cfg, reps)
             rec.cls_digest_pre = pre
             rec.cls_digest_post = _digest(seq.cls)
         trace.layers.append(rec)
@@ -311,7 +312,6 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
 
     final = layer_norm(seq.cls[None, :], weights.final_gamma, weights.final_beta)
     logits = matmul(final, weights.w_head)[0] + weights.b_head.astype(DTYPE)
-    trace.wall_time = time.perf_counter() - t0
     return logits, trace
 
 
@@ -319,6 +319,9 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig,
                threads: int = 1) -> list:
     """Forward each [N, d] image with a zero CLS token; returns one
     (logits, trace) per image, in image order whatever the thread count."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got threads={threads}")
+
     def one(patches):
         seq = TokenSequence(cls=np.zeros(weights.dims.d, dtype=np.float32),
                             patches=np.asarray(patches, dtype=np.float32))
@@ -330,74 +333,48 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig,
     return [one(img) for img in images]
 
 
+def _weight_shapes(dims: ModelDims) -> dict:
+    """Archive name -> shape of every tensor of a model, in archive order."""
+    size = {"d": dims.d, "3d": 3 * dims.d, "d_ff": dims.d_ff,
+            "n_classes": dims.n_classes}
+    shapes = {}
+    for l in range(dims.layers):
+        for name, dim_names in BLOCK_LAYOUT.items():
+            shapes[f"block{l:02d}.{name}"] = tuple(size[k] for k in dim_names)
+    for name, (_, dim_names) in HEAD_LAYOUT.items():
+        shapes[name] = tuple(size[k] for k in dim_names)
+    return shapes
+
+
+def _assemble(dims: ModelDims, tensors: dict, model_id: str) -> ModelWeights:
+    blocks = [BlockWeights(**{name: tensors[f"block{l:02d}.{name}"]
+                              for name in BLOCK_LAYOUT})
+              for l in range(dims.layers)]
+    return ModelWeights(dims=dims, blocks=blocks, model_id=model_id,
+                        **{fld: tensors[name] for name, (fld, _) in HEAD_LAYOUT.items()})
+
+
 def synth_weights(seed: int, dims: ModelDims) -> ModelWeights:
     """Seed-deterministic gaussian init (std 0.02, zero biases, unit LN)."""
     rng = np.random.default_rng(seed)
-
-    def mat(*shape):
-        return rng.normal(0.0, 0.02, size=shape).astype(DTYPE)
-
-    blocks = []
-    for _ in range(dims.layers):
-        blocks.append(BlockWeights(
-            ln1_gamma=np.ones(dims.d, dtype=DTYPE),
-            ln1_beta=np.zeros(dims.d, dtype=DTYPE),
-            w_qkv=mat(dims.d, 3 * dims.d),
-            b_qkv=np.zeros(3 * dims.d, dtype=DTYPE),
-            w_proj=mat(dims.d, dims.d),
-            b_proj=np.zeros(dims.d, dtype=DTYPE),
-            ln2_gamma=np.ones(dims.d, dtype=DTYPE),
-            ln2_beta=np.zeros(dims.d, dtype=DTYPE),
-            w_fc1=mat(dims.d, dims.d_ff),
-            b_fc1=np.zeros(dims.d_ff, dtype=DTYPE),
-            w_fc2=mat(dims.d_ff, dims.d),
-            b_fc2=np.zeros(dims.d, dtype=DTYPE),
-        ))
-    return ModelWeights(
-        dims=dims,
-        blocks=blocks,
-        final_gamma=np.ones(dims.d, dtype=DTYPE),
-        final_beta=np.zeros(dims.d, dtype=DTYPE),
-        w_head=mat(dims.d, dims.n_classes),
-        b_head=np.zeros(dims.n_classes, dtype=DTYPE),
-        model_id=f"synth-{seed}",
-    )
-
-
-_BLOCK_FIELDS = ("ln1_gamma", "ln1_beta", "w_qkv", "b_qkv", "w_proj", "b_proj",
-                 "ln2_gamma", "ln2_beta", "w_fc1", "b_fc1", "w_fc2", "b_fc2")
-
-
-def _expected_shapes(dims: ModelDims) -> dict:
-    d, d_ff = dims.d, dims.d_ff
-    per_block = {
-        "ln1_gamma": (d,), "ln1_beta": (d,),
-        "w_qkv": (d, 3 * d), "b_qkv": (3 * d,),
-        "w_proj": (d, d), "b_proj": (d,),
-        "ln2_gamma": (d,), "ln2_beta": (d,),
-        "w_fc1": (d, d_ff), "b_fc1": (d_ff,),
-        "w_fc2": (d_ff, d), "b_fc2": (d,),
-    }
-    shapes = {}
-    for l in range(dims.layers):
-        for name, shape in per_block.items():
-            shapes[f"block{l:02d}.{name}"] = shape
-    shapes["final.gamma"] = (d,)
-    shapes["final.beta"] = (d,)
-    shapes["head.weight"] = (d, dims.n_classes)
-    shapes["head.bias"] = (dims.n_classes,)
-    return shapes
+    tensors = {}
+    for name, shape in _weight_shapes(dims).items():
+        fld = HEAD_LAYOUT[name][0] if name in HEAD_LAYOUT else name.partition(".")[2]
+        if fld.startswith("w_"):
+            tensors[name] = rng.normal(0.0, 0.02, size=shape).astype(DTYPE)
+        else:
+            init = np.ones if fld.endswith("gamma") else np.zeros
+            tensors[name] = init(shape, dtype=DTYPE)
+    return _assemble(dims, tensors, f"synth-{seed}")
 
 
 def save_weights(weights: ModelWeights, path: str) -> None:
     tensors = {}
     for l, blk in enumerate(weights.blocks):
-        for name in _BLOCK_FIELDS:
+        for name in BLOCK_LAYOUT:
             tensors[f"block{l:02d}.{name}"] = getattr(blk, name)
-    tensors["final.gamma"] = weights.final_gamma
-    tensors["final.beta"] = weights.final_beta
-    tensors["head.weight"] = weights.w_head
-    tensors["head.bias"] = weights.b_head
+    for name, (fld, _) in HEAD_LAYOUT.items():
+        tensors[name] = getattr(weights, fld)
     dims = weights.dims
     meta = {"kind": "vit-weights", "model_id": weights.model_id,
             "d": dims.d, "heads": dims.heads, "d_ff": dims.d_ff,
@@ -411,22 +388,10 @@ def load_weights(path: str) -> ModelWeights:
         raise archive.ArchiveError(f"archive at {path} does not hold ViT weights")
     dims = ModelDims(d=meta["d"], heads=meta["heads"], d_ff=meta["d_ff"],
                      layers=meta["layers"], n_classes=meta["n_classes"])
-    expected = _expected_shapes(dims)
-    for name, shape in expected.items():
+    for name, shape in _weight_shapes(dims).items():
         if name not in tensors:
             raise archive.ArchiveError(f"missing tensor {name}")
         if tensors[name].shape != shape:
             raise archive.ArchiveError(
                 f"tensor {name}: shape {tensors[name].shape}, expected {shape}")
-    blocks = []
-    for l in range(dims.layers):
-        blocks.append(BlockWeights(**{
-            name: tensors[f"block{l:02d}.{name}"] for name in _BLOCK_FIELDS}))
-    return ModelWeights(
-        dims=dims, blocks=blocks,
-        final_gamma=tensors["final.gamma"],
-        final_beta=tensors["final.beta"],
-        w_head=tensors["head.weight"],
-        b_head=tensors["head.bias"],
-        model_id=meta.get("model_id", "unknown"),
-    )
+    return _assemble(dims, tensors, meta.get("model_id", "unknown"))

@@ -257,6 +257,18 @@ class TestRejectedSchedules:
             assert main(argv) == 2, argv[0]
             assert "r=-" in capsys.readouterr().err, argv[0]
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["calibrate", "run", "compare"])
+    def test_threads_below_one_is_data_error(self, workspace, tmp_path,
+                                             capsys, command, threads):
+        base = ["--weights", workspace["weights"], "--dataset",
+                workspace["dataset"], "--threads", threads]
+        argv = {"calibrate": ["--r-max", "6", "--out", str(tmp_path / "s.json")],
+                "run": ["--method", "tome", "--r", "3"],
+                "compare": ["--config", "tome:r=3"]}[command]
+        assert main([command, *base, *argv]) == 2
+        assert f"threads={threads}" in capsys.readouterr().err
+
     def test_r_zero_still_runs_the_merge_step(self, workspace):
         weights = load_weights(workspace["weights"])
         images, _ = data.load_dataset(workspace["dataset"])
@@ -265,6 +277,25 @@ class TestRejectedSchedules:
         assert trace.merging and trace.total_merges == 0
         assert all(rec.sbar != 0.0 and rec.cls_digest_post != ""
                    for rec in trace.layers)
+
+
+class TestScheduleMismatch:
+    def run_adaptive(self, workspace, *extra):
+        return main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge",
+                     "--stats", workspace["stats"], *extra])
+
+    def test_mismatched_r_max_warns(self, workspace, capsys):
+        assert self.run_adaptive(workspace, "--r-max", "8",
+                                 "--temperature", "0.5") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: r_max=8 differs from the stats' r_max=6",
+            "warning: temperature=0.5 differs from the stats' temperature=1.0"]
+
+    def test_matching_values_are_silent(self, workspace, capsys):
+        assert self.run_adaptive(workspace, "--r-max", "6") == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestAliases:

@@ -23,9 +23,6 @@ class TestBlockFlops:
         attn = lambda n: block_flops(n, d, d_ff) - 4 * n * d * d - 2 * n * d * d_ff
         assert attn(10) == 4 * attn(5)
 
-    def test_flops_per_mac_scales(self):
-        assert block_flops(7, 4, 8, flops_per_mac=2) == 2 * block_flops(7, 4, 8)
-
 
 class TestTable1Reductions:
     @pytest.mark.parametrize("r,want", sorted(TABLE1_REDUCTIONS.items()))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adamerge.matcher import (MergeDecision, execute_merge, partition,
                               reconstruction_gap, select_merges,
@@ -48,7 +50,7 @@ class TestPartition:
 class TestWeightedScores:
     def test_uniform_equals_cosine(self):
         xa, xb = rnd((4, 6), 0), rnd((3, 6), 1)
-        got = weighted_scores(xa, xb, np.ones(4), uniform=True)
+        got = weighted_scores(xa, xb, None)
         assert np.array_equal(got, cosine_matrix(xa, xb))
 
     def test_all_ones_salience(self):
@@ -106,13 +108,8 @@ class TestSelectMerges:
         # rows 0 and 1 tie at 0.5 -> both chosen, dest = lower column
         assert [(i, j) for i, j, _ in d.edges] == [(0, 0), (1, 0)]
 
-    def test_seeded_random_tie_break(self):
+    def test_all_ties_go_to_lower_index(self):
         scores = np.zeros((6, 3), dtype=np.float32)  # all candidates tie
-        d1 = select_merges(scores, 3, rng=np.random.default_rng(1))
-        d2 = select_merges(scores, 3, rng=np.random.default_rng(1))
-        d3 = select_merges(scores, 3, rng=np.random.default_rng(2))
-        assert d1.edges == d2.edges
-        assert d1.r == d3.r == 3
         # index tie-break picks the lowest sources deterministically
         d_idx = select_merges(scores, 3)
         assert [i for i, _, _ in d_idx.edges] == [0, 1, 2]
@@ -134,9 +131,9 @@ class TestExecuteMerge:
 
     def test_equal_salience_averages(self):
         patches = rnd((2, 4), 0)
+        sal_in = np.array([1.0, 1.0])
         out, sal, sizes, fb = execute_merge(
-            patches, np.array([1.0, 1.0]), np.array([1, 1]),
-            self.pair_decision())
+            patches, sal_in, np.array([1, 1]), self.pair_decision(), sal_in)
         assert out.shape == (1, 4)
         assert np.allclose(out[0], patches.astype(np.float64).mean(axis=0),
                            atol=1e-6)
@@ -144,34 +141,35 @@ class TestExecuteMerge:
 
     def test_full_weight_limit(self):
         patches = rnd((2, 4), 1)
+        sal_in = np.array([1.0, 0.0])
         out, sal, _, _ = execute_merge(
-            patches, np.array([1.0, 0.0]), np.array([1, 1]),
-            self.pair_decision())
+            patches, sal_in, np.array([1, 1]), self.pair_decision(), sal_in)
         assert np.allclose(out[0], patches[0], atol=1e-7)
         assert sal[0] == 1.0
 
     def test_hand_weighted_pair(self):
         patches = np.array([[1, 0], [0, 1]], dtype=np.float32)
+        sal_in = np.array([0.8, 0.2])
         out, sal, _, _ = execute_merge(
-            patches, np.array([0.8, 0.2]), np.array([1, 1]),
-            self.pair_decision())
+            patches, sal_in, np.array([1, 1]), self.pair_decision(), sal_in)
         assert np.allclose(out[0], [0.8, 0.2], atol=1e-6)
         assert sal[0] == pytest.approx(0.8)
 
     def test_tome_mode_size_weighted(self):
         patches = np.array([[2, 0], [0, 2]], dtype=np.float32)
+        sizes_in = np.array([3, 1])
         out, _, sizes, _ = execute_merge(
-            patches, np.array([0.9, 0.1]), np.array([3, 1]),
-            self.pair_decision(), mode="tome")
+            patches, np.array([0.9, 0.1]), sizes_in, self.pair_decision(),
+            sizes_in)
         # weights by size: (3*src + 1*dst)/4
         assert np.allclose(out[0], [1.5, 0.5], atol=1e-6)
         assert sizes[0] == 4
 
     def test_zero_weight_falls_back_to_mean(self):
         patches = np.array([[2, 0], [0, 2]], dtype=np.float32)
+        sal_in = np.array([0.0, 0.0])
         out, _, _, fb = execute_merge(
-            patches, np.array([0.0, 0.0]), np.array([1, 1]),
-            self.pair_decision())
+            patches, sal_in, np.array([1, 1]), self.pair_decision(), sal_in)
         assert fb
         assert np.allclose(out[0], [1.0, 1.0], atol=1e-6)
 
@@ -179,7 +177,7 @@ class TestExecuteMerge:
         patches = rnd((8, 5), 3)
         sal = np.random.default_rng(4).uniform(0.1, 1, 8)
         d = select_merges(weighted_scores(patches[:4], patches[4:], sal[:4]), 2)
-        out, _, sizes, _ = execute_merge(patches, sal, np.ones(8, np.int64), d)
+        out, _, sizes, _ = execute_merge(patches, sal, np.ones(8, np.int64), d, sal)
         assert out.shape[0] == 6
         merged = {i for i, _, _ in d.edges}
         keep_a = [i for i in range(4) if i not in merged]
@@ -204,7 +202,7 @@ class TestExecuteMerge:
             d = select_merges(
                 weighted_scores(patches[:n_a], patches[n_a:], sal[:n_a]), r)
             out, _, sizes, _ = execute_merge(patches, sal,
-                                             np.ones(n, np.int64), d)
+                                             np.ones(n, np.int64), d, sal)
             assert out.shape[0] == n - d.r
             assert sizes.sum() == n
 
@@ -273,3 +271,65 @@ class TestReconstructionGap:
                         for i, j, _ in d.edges)
             assert total >= prev - 1e-12
             prev = total
+
+
+@st.composite
+def token_sets(draw):
+    """n in [0, 64] patch tokens with some duplicate and some zero rows,
+    salience in [0, 1] and positive integer sizes."""
+    n = draw(st.integers(0, 64))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, d)).astype(np.float32)
+    if n > 1:
+        dup = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+        x[dup] = x[rng.integers(0, n, size=int(dup.sum()))]
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    sal = rng.uniform(0.0, 1.0, n)
+    sizes = rng.integers(1, 5, n).astype(np.int64)
+    return x, sal, sizes, draw(st.integers(0, 40))
+
+
+def decide(x, sa, r):
+    p = partition(x.shape[0])
+    if p.n_b == 0:
+        return select_merges(np.zeros((p.n_a, 0), dtype=np.float32), r)
+    return select_merges(weighted_scores(x[:p.n_a], x[p.n_a:], sa), r)
+
+
+class TestMergeProperties:
+    @given(token_sets(), st.booleans())
+    def test_ledger(self, tokens, salience):
+        x, sal, sizes, r = tokens
+        n = x.shape[0]
+        n_a = partition(n).n_a
+        d = decide(x, sal[:n_a] if salience else None, r)
+        out, out_sal, out_sizes, _ = execute_merge(
+            x, sal, sizes, d, sal if salience else sizes)
+        assert out_sizes.sum() == sizes.sum()
+        assert out.shape[0] == out_sal.shape[0] == out_sizes.shape[0] == n - d.r
+        keep = len(d.keep_a)
+        for pos, i in enumerate(d.keep_a):
+            assert out[pos].tobytes() == x[i].tobytes()
+        for j in range(d.n_b):
+            members = [n_a + j] + d.groups.get(j, [])
+            if j not in d.groups:
+                assert out[keep + j].tobytes() == x[n_a + j].tobytes()
+            assert out_sal[keep + j] == sal[members].max()
+            assert out_sizes[keep + j] == sizes[members].sum()
+
+    @given(token_sets())
+    def test_unit_weights_are_tome(self, tokens):
+        x, _, _, r = tokens
+        n = x.shape[0]
+        n_a = partition(n).n_a
+        ones, unit = np.ones(n), np.ones(n, dtype=np.int64)
+        if n >= 2:
+            assert weighted_scores(x[:n_a], x[n_a:], ones[:n_a]).tobytes() == \
+                weighted_scores(x[:n_a], x[n_a:], None).tobytes()
+        d = decide(x, None, r)
+        got = execute_merge(x, ones, unit, d, ones)
+        want = execute_merge(x, ones, unit, d, unit)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got[3] == want[3]
