@@ -4,47 +4,30 @@
 # adaptive schedule against the previous pass's statistics, so the stats
 # converge toward the inference-time distribution they induce.
 
+import dataclasses
 import json
 
 import numpy as np
 
-from .runtime import ModelWeights, RunConfig, method_knobs, run_images
+from .runtime import ModelWeights, RunConfig, run_images
 from .schedule import SIGMA_FLOOR, LayerStats, ScheduleConfig
 
 STATS_VERSION = 1
-_STATS_KEYS = {"version", "model_id", "num_layers", "r_max", "alpha",
-               "temperature", "passes", "calibration_size", "mu", "sigma"}
+# stats.json holds every LayerStats field plus these two file-level ones
+_FIELDS = tuple(f.name for f in dataclasses.fields(LayerStats))
+_STATS_KEYS = {"version", "num_layers", *_FIELDS}
 
 
-def _run_config(r_max: int, alpha: float, temperature: float,
-                method: str, stats: LayerStats | None) -> RunConfig:
-    salience, kind = method_knobs(method)
-    if kind is None:
-        raise ValueError(
-            f"method {method!r} runs no merge step, so it has no redundancy "
-            "statistics to calibrate")
-    # built for every pass so that a bad r_max fails before the bootstrap
-    adaptive = ScheduleConfig(r_max=r_max, alpha=alpha, temperature=temperature)
-    if stats is None:
-        return RunConfig(salience=salience, schedule=r_max // 2)
-    return RunConfig(salience=salience, schedule=adaptive, stats=stats)
-
-
-def collect_pass(weights: ModelWeights, images, r_max: int,
-                 alpha: float = 1.0, temperature: float = 1.0,
-                 method: str = "adamerge", stats: LayerStats | None = None,
+def collect_pass(weights: ModelWeights, images, cfg: RunConfig,
                  threads: int = 1) -> np.ndarray:
-    """One calibration pass; returns proxies[L][n_images].
+    """One calibration pass under `cfg`; returns proxies[L][n_images].
 
-    stats=None is the bootstrap pass (fixed r = r_max // 2 at every
-    layer); otherwise the adaptive schedule runs against `stats`.
     Results are accumulated in image-index order regardless of thread
     completion order.
     """
     images = list(images)
     if not images:
         raise ValueError("calibration dataset is empty")
-    cfg = _run_config(r_max, alpha, temperature, method, stats)
     rows = [[rec.sbar for rec in trace.layers]
             for _, trace in run_images(weights, images, cfg, threads)]
     return np.asarray(rows, dtype=np.float64).T  # [L, n_images]
@@ -67,41 +50,39 @@ def fit_stats(samples: np.ndarray, *, model_id: str, r_max: int,
 
 def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
            temperature: float = 1.0, passes: int = 2,
-           method: str = "adamerge", threads: int = 1) -> LayerStats:
-    """Iterative refinement: bootstrap pass, then `passes - 1` adaptive
-    passes each calibrated against the previous statistics. Two passes is
-    the recommended protocol."""
+           salience: bool = True, threads: int = 1) -> LayerStats:
+    """Iterative refinement: bootstrap pass at fixed r = r_max // 2, then
+    `passes - 1` adaptive passes each calibrated against the previous
+    statistics. Two passes is the recommended protocol."""
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
+    # built before the bootstrap pass so that a bad value fails before
+    # any forward pass
+    sched = ScheduleConfig(r_max=r_max, alpha=alpha, temperature=temperature)
     images = list(images)
-    stats = None
+    cfg = RunConfig(salience=salience, schedule=r_max // 2)
     for p in range(passes):
-        samples = collect_pass(weights, images, r_max, alpha, temperature,
-                               method=method, stats=stats, threads=threads)
-        stats = fit_stats(samples, model_id=weights.model_id, r_max=r_max,
-                          alpha=alpha, temperature=temperature, passes=p + 1)
+        stats = fit_stats(collect_pass(weights, images, cfg, threads),
+                          model_id=weights.model_id, r_max=r_max, alpha=alpha,
+                          temperature=temperature, passes=p + 1)
+        cfg = RunConfig(salience=salience, schedule=sched, stats=stats)
     return stats
 
 
 def save_stats(stats: LayerStats, path: str) -> None:
-    doc = {
-        "version": STATS_VERSION,
-        "model_id": stats.model_id,
-        "num_layers": stats.num_layers,
-        "r_max": stats.r_max,
-        "alpha": stats.alpha,
-        "temperature": stats.temperature,
-        "passes": stats.passes,
-        "calibration_size": stats.calibration_size,
-        "mu": [float(v) for v in stats.mu],
-        "sigma": [float(v) for v in stats.sigma],
-    }
+    doc = {"version": STATS_VERSION, "num_layers": stats.num_layers}
+    for name in _FIELDS:
+        value = getattr(stats, name)
+        doc[name] = ([float(v) for v in value] if isinstance(value, np.ndarray)
+                     else value)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
 def load_stats(path: str) -> LayerStats:
+    """Read stats.json; the file-level checks are here, the checks of
+    the values are LayerStats's own. Every error names `path`."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -117,14 +98,10 @@ def load_stats(path: str) -> LayerStats:
     missing = _STATS_KEYS - set(doc)
     if missing:
         raise ValueError(f"{path}: missing fields {sorted(missing)}")
-    mu = np.asarray(doc["mu"], dtype=np.float64)
-    sigma = np.asarray(doc["sigma"], dtype=np.float64)
-    if len(mu) != doc["num_layers"] or len(sigma) != doc["num_layers"]:
-        raise ValueError(
-            f"{path}: mu/sigma length != num_layers = {doc['num_layers']}")
-    if not np.all(sigma > 0):
-        raise ValueError(f"{path}: sigma must be strictly positive")
-    return LayerStats(model_id=doc["model_id"], mu=mu, sigma=sigma,
-                      r_max=doc["r_max"], alpha=doc["alpha"],
-                      temperature=doc["temperature"], passes=doc["passes"],
-                      calibration_size=doc["calibration_size"])
+    try:
+        n = doc["num_layers"]
+        if np.shape(doc["mu"]) != (n,) or np.shape(doc["sigma"]) != (n,):
+            raise ValueError(f"mu/sigma length != num_layers = {n}")
+        return LayerStats(**{name: doc[name] for name in _FIELDS})
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -13,13 +13,24 @@ import numpy as np
 
 from . import calibration, data, flops, report
 from .archive import ArchiveError
-from .runtime import (METHOD_ALIASES, ModelDims, RunConfig, load_weights,
-                      method_knobs, run_images, save_weights, synth_weights)
+from .runtime import (ModelDims, RunConfig, load_weights, run_images,
+                      save_weights, synth_weights)
 from .schedule import ScheduleConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+# Method names are aliases for the two knobs of a RunConfig, known only
+# here: salience (weighted scores and salience aggregation) and the
+# default schedule kind; "none" runs no merge step at all.
+METHOD_ALIASES = {
+    "none": (False, None),
+    "tome": (False, "fixed"),
+    "adamerge": (True, "adaptive"),
+    "sw-only": (True, "fixed"),
+    "adp-only": (False, "adaptive"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,6 +46,14 @@ def _default_seed(args_seed):
     return int(os.environ.get("ADAMERGE_SEED", "0"))
 
 
+def method_knobs(method: str) -> tuple:
+    """(salience, schedule kind) of a method alias."""
+    if method not in METHOD_ALIASES:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {tuple(METHOD_ALIASES)}")
+    return METHOD_ALIASES[method]
+
+
 def build_run_config(method: str, *, r: int | None = None,
                      r_max: int | None = None, alpha: float = 1.0,
                      temperature: float = 1.0, stats=None,
@@ -47,6 +66,10 @@ def build_run_config(method: str, *, r: int | None = None,
     """
     salience, kind = method_knobs(method)
     if kind is None:
+        if r is not None or r_max is not None:
+            raise ValueError(
+                f"method {method} runs no merge step, so it takes neither r "
+                f"nor r_max (got r={r}, r_max={r_max})")
         return RunConfig(salience=salience, schedule=None)
     if r is not None:
         return RunConfig(salience=salience, schedule=r, track_maps=track_maps)
@@ -112,11 +135,16 @@ def cmd_synth_weights(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    salience, kind = method_knobs(args.method)
+    if kind is None:
+        raise ValueError(
+            f"method {args.method!r} runs no merge step, so it has no "
+            "redundancy statistics to calibrate")
     weights = load_weights(args.weights)
     images, _ = data.load_dataset(args.dataset)
     stats = calibration.refine(weights, images, args.r_max, alpha=args.alpha,
                                temperature=args.temperature,
-                               passes=args.passes, method=args.method,
+                               passes=args.passes, salience=salience,
                                threads=args.threads)
     calibration.save_stats(stats, args.out)
     print(f"calibrated {stats.num_layers} layers on {stats.calibration_size} "

@@ -17,25 +17,6 @@ from .numeric import DTYPE, gelu, layer_norm, matmul, row_softmax
 from .salience import salience_of
 from .schedule import LayerStats, ScheduleConfig, r_from_z, redundancy_proxy, zscore
 
-# Method names are aliases for the two knobs of a RunConfig: salience
-# (weighted scores and salience aggregation) and the default schedule
-# kind; "none" runs no merge step at all.
-METHOD_ALIASES = {
-    "none": (False, None),
-    "tome": (False, "fixed"),
-    "adamerge": (True, "adaptive"),
-    "sw-only": (True, "fixed"),
-    "adp-only": (False, "adaptive"),
-}
-
-
-def method_knobs(method: str) -> tuple:
-    """(salience, schedule kind) of a method alias."""
-    if method not in METHOD_ALIASES:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {tuple(METHOD_ALIASES)}")
-    return METHOD_ALIASES[method]
-
 
 @dataclass
 class ModelDims:
@@ -242,7 +223,7 @@ def _merge_step(seq: TokenSequence, layer: int, cfg: RunConfig,
     sched = cfg.schedule
     if isinstance(sched, ScheduleConfig):
         rec.z = zscore(rec.sbar, cfg.stats, layer, sched.temperature)
-        r = r_from_z(rec.z, sched, part.n_a)
+        r = r_from_z(rec.z, sched)
     else:
         r = sched
 

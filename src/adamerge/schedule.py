@@ -19,6 +19,10 @@ class ScheduleConfig:
     def __post_init__(self):
         if self.r_max < 0:
             raise ValueError(f"r_max must be >= 0, got {self.r_max}")
+        for name in ("alpha", "temperature"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {name}={getattr(self, name)}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
@@ -41,8 +45,14 @@ class LayerStats:
         if len(self.mu) != len(self.sigma):
             raise ValueError(
                 f"mu/sigma length mismatch: {len(self.mu)} vs {len(self.sigma)}")
-        if not np.all(self.sigma > 0):
-            raise ValueError("sigma must be strictly positive at every layer")
+        for name, ok, want in (
+                ("mu", np.isfinite(self.mu), "finite"),
+                ("sigma", np.isfinite(self.sigma) & (self.sigma > 0),
+                 "finite and strictly positive")):
+            if not ok.all():
+                l = int(np.flatnonzero(~ok)[0])
+                raise ValueError(f"{name} must be {want} at every layer; "
+                                 f"layer {l} has {name}={getattr(self, name)[l]}")
 
     @property
     def num_layers(self) -> int:
@@ -73,13 +83,14 @@ def zscore(sbar: float, stats: LayerStats, layer: int,
     return float(z / temperature)
 
 
-def r_from_z(z: float, cfg: ScheduleConfig, a_size: int) -> int:
-    r = int(np.floor(cfg.r_max * logistic(cfg.alpha * z)))
-    return max(0, min(r, a_size))
+def r_from_z(z: float, cfg: ScheduleConfig) -> int:
+    """floor(r_max * sigmoid(alpha * z)), in [0, r_max]; the merge step
+    clamps it to |A| (and flags the clamp) in select_merges."""
+    return int(np.floor(cfg.r_max * logistic(cfg.alpha * z)))
 
 
 def decide_r(sbar: float, stats: LayerStats, layer: int,
              cfg: ScheduleConfig, a_size: int) -> int:
     """r = floor(r_max * sigmoid(alpha * z / T)), clamped to [0, |A|]."""
     z = zscore(sbar, stats, layer, cfg.temperature)
-    return r_from_z(z, cfg, a_size)
+    return min(r_from_z(z, cfg), a_size)

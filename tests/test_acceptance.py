@@ -10,11 +10,11 @@ import pytest
 
 import naive_reference as ref
 from adamerge import calibration, data
-from adamerge.cli import main
+from adamerge.cli import main, method_knobs
 from adamerge.flops import fixed_schedule_lengths, model_flops
 from adamerge.matcher import reconstruction_gap, select_merges
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
-                              forward_model, method_knobs, synth_weights)
+                              forward_model, synth_weights)
 from adamerge.schedule import LayerStats, ScheduleConfig, decide_r
 
 from test_matcher import brute_force_select

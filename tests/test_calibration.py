@@ -1,11 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from adamerge import calibration, data
-from adamerge.runtime import ModelDims, run_images, synth_weights
-from adamerge.schedule import SIGMA_FLOOR, LayerStats
+from adamerge.runtime import ModelDims, RunConfig, run_images, synth_weights
+from adamerge.schedule import SIGMA_FLOOR, LayerStats, ScheduleConfig
+
+# the bootstrap pass of refine(r_max=6): fixed r = 6 // 2, salience on
+BOOTSTRAP = RunConfig(salience=True, schedule=3)
 
 
 @pytest.fixture(scope="module")
@@ -21,26 +25,28 @@ def cal_images():
 
 class TestCollectPass:
     def test_shape_and_finiteness(self, small_model, cal_images):
-        samples = calibration.collect_pass(small_model, cal_images[:1], r_max=6)
+        samples = calibration.collect_pass(small_model, cal_images[:1], BOOTSTRAP)
         assert samples.shape == (4, 1)
         assert np.all(np.isfinite(samples))
 
     def test_bootstrap_uses_half_budget(self, small_model, cal_images):
-        cfg = calibration._run_config(6, 1.0, 1.0, "adamerge", None)
-        assert cfg.schedule == 3
+        # an odd budget bootstraps at the floor of its half: 7 // 2 = 3
+        stats = calibration.refine(small_model, cal_images, r_max=7, passes=1)
+        samples = calibration.collect_pass(small_model, cal_images, BOOTSTRAP)
+        assert np.array_equal(stats.mu, samples.mean(axis=1))
 
     def test_identical_images_identical_samples(self, small_model, cal_images):
         img = cal_images[0]
-        samples = calibration.collect_pass(small_model, [img, img], r_max=6)
+        samples = calibration.collect_pass(small_model, [img, img], BOOTSTRAP)
         assert np.array_equal(samples[:, 0], samples[:, 1])
 
     def test_empty_dataset_rejected(self, small_model):
         with pytest.raises(ValueError):
-            calibration.collect_pass(small_model, [], r_max=6)
+            calibration.collect_pass(small_model, [], BOOTSTRAP)
 
     def test_threaded_matches_serial(self, small_model, cal_images):
-        a = calibration.collect_pass(small_model, cal_images, r_max=6)
-        b = calibration.collect_pass(small_model, cal_images, r_max=6,
+        a = calibration.collect_pass(small_model, cal_images, BOOTSTRAP)
+        b = calibration.collect_pass(small_model, cal_images, BOOTSTRAP,
                                      threads=4)
         assert np.array_equal(a, b)
 
@@ -74,7 +80,7 @@ class TestFitStats:
 class TestRefine:
     def test_single_pass_is_bootstrap_fit(self, small_model, cal_images):
         stats = calibration.refine(small_model, cal_images, r_max=6, passes=1)
-        samples = calibration.collect_pass(small_model, cal_images, r_max=6)
+        samples = calibration.collect_pass(small_model, cal_images, BOOTSTRAP)
         want = calibration.fit_stats(samples, model_id=small_model.model_id,
                                      r_max=6, alpha=1.0, temperature=1.0,
                                      passes=1)
@@ -106,9 +112,28 @@ class TestRefine:
         with pytest.raises(ValueError):
             calibration.refine(small_model, cal_images, r_max=6, passes=0)
 
-    def test_method_without_merge_step_rejected(self, small_model, cal_images):
-        with pytest.raises(ValueError, match="'none'"):
-            calibration.refine(small_model, cal_images, r_max=6, method="none")
+    # pinned stats.json bytes of refine(r_max=6, passes=2) at each
+    # salience setting
+    @pytest.mark.parametrize("salience,digest", [
+        (True, "2e2b9277c2bde4e898dc2eb3a29626ea"
+               "e587b4d91146bf6d98e1f88855c7ce29"),
+        (False, "01322a77e94b9671174f0e60697b21a9"
+                "804c11b54adb3a1e31b772215007668b")], ids=["on", "off"])
+    def test_two_pass_bytes_are_pinned(self, small_model, cal_images,
+                                       tmp_path, salience, digest):
+        p = tmp_path / "stats.json"
+        calibration.save_stats(
+            calibration.refine(small_model, cal_images, r_max=6, passes=2,
+                               salience=salience), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("field,value", [("alpha", np.nan),
+                                             ("temperature", np.inf)])
+    def test_bad_schedule_value_fails_before_any_pass(self, small_model,
+                                                      field, value):
+        # an empty dataset would fail in the bootstrap pass
+        with pytest.raises(ValueError, match=f"{field}="):
+            calibration.refine(small_model, [], r_max=6, **{field: value})
 
 
 class TestPersistence:
@@ -130,6 +155,13 @@ class TestPersistence:
         p2 = tmp_path / "stats2.json"
         calibration.save_stats(back, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # the field list comes from LayerStats; the bytes must not move
+        p = tmp_path / "stats.json"
+        calibration.save_stats(self.make_stats(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == \
+            "194423ffde8ae4b9f2fb18b1e514205fc0c699617ef074b6ec130ca8ac336775"
 
     def test_golden_fixture(self, tmp_path):
         doc = {"version": 1, "model_id": "vit-b16-test", "num_layers": 12,
@@ -169,6 +201,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="version"):
             calibration.load_stats(self._corrupt(tmp_path, version=99))
 
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_rejected(self, tmp_path, field, value):
+        p = self._corrupt(tmp_path, **{field: [0.1, value]})
+        with pytest.raises(ValueError) as err:
+            calibration.load_stats(p)
+        assert str(p) in str(err.value) and f"layer 1 has {field}=" in str(err.value)
+
+    def test_missing_field_rejected(self, tmp_path):
+        doc = json.loads(self._corrupt(tmp_path).read_text())
+        del doc["passes"]
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"missing fields \['passes'\]"):
+            calibration.load_stats(p)
+
     def test_malformed_json_rejected(self, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{not json")
@@ -177,14 +225,14 @@ class TestPersistence:
 
 
 class TestOnePath:
-    @pytest.mark.parametrize("method", ["adamerge", "tome"])
-    def test_samples_are_run_images_sbar(self, small_model, cal_images, method):
+    @pytest.mark.parametrize("salience", [True, False], ids=["adamerge", "tome"])
+    def test_samples_are_run_images_sbar(self, small_model, cal_images, salience):
         stats = calibration.refine(small_model, cal_images, r_max=6, passes=1,
-                                   method=method)
-        for s in (None, stats):
-            samples = calibration.collect_pass(small_model, cal_images, r_max=6,
-                                               method=method, stats=s)
-            cfg = calibration._run_config(6, 1.0, 1.0, method, s)
+                                   salience=salience)
+        for cfg in (RunConfig(salience=salience, schedule=3),
+                    RunConfig(salience=salience, stats=stats,
+                              schedule=ScheduleConfig(r_max=6))):
+            samples = calibration.collect_pass(small_model, cal_images, cfg)
             want = [[rec.sbar for rec in tr.layers]
                     for _, tr in run_images(small_model, cal_images, cfg)]
             assert samples.tobytes() == np.asarray(want).T.tobytes()

@@ -269,6 +269,49 @@ class TestRejectedSchedules:
         assert main([command, *base, *argv]) == 2
         assert f"threads={threads}" in capsys.readouterr().err
 
+    def test_merge_count_for_none_is_data_error(self, workspace, capsys):
+        base = ["--weights", workspace["weights"], "--dataset",
+                workspace["dataset"]]
+        for argv, given in (
+                (["run", *base, "--method", "none", "--r", "5"], "r=5"),
+                (["viz", *base, "--method", "none", "--r-max", "6"], "r_max=6"),
+                (["compare", *base, "--config", "none:r=3"], "r=3")):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "takes neither r nor r_max" in err and given in err, err
+
+    @pytest.mark.parametrize("flag,value", [("alpha", "nan"),
+                                            ("temperature", "inf")])
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    def test_non_finite_schedule_value_is_data_error(self, workspace, tmp_path,
+                                                     capsys, command, flag,
+                                                     value):
+        out = tmp_path / "s.json"
+        argv = {"calibrate": ["--r-max", "6", "--out", str(out)],
+                "run": ["--method", "adamerge", "--r-max", "6",
+                        "--stats", workspace["stats"]]}[command]
+        assert main([command, "--weights", workspace["weights"],
+                     "--dataset", workspace["dataset"], *argv,
+                     f"--{flag}", value]) == 2
+        assert f"{flag} must be finite, got {flag}={value}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_stats_is_data_error(self, workspace, tmp_path, capsys,
+                                            value):
+        doc = json.loads(open(workspace["stats"]).read())
+        doc["mu"][2] = float(value)
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(doc))
+        assert value in bad.read_text()
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge", "--r-max",
+                     "6", "--stats", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: mu must be finite" in err and "layer 2 has mu=" in err, err
+
     def test_r_zero_still_runs_the_merge_step(self, workspace):
         weights = load_weights(workspace["weights"])
         images, _ = data.load_dataset(workspace["dataset"])

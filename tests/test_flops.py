@@ -4,8 +4,9 @@ import pytest
 from adamerge import data
 from adamerge.flops import (block_flops, fixed_schedule_lengths,
                             merge_overhead_flops, model_flops, trace_flops)
+from adamerge.cli import method_knobs
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
-                              forward_model, method_knobs, synth_weights)
+                              forward_model, synth_weights)
 
 TABLE1_REDUCTIONS = {3: 8.7, 4: 11.6, 5: 14.4, 6: 17.3, 7: 20.1, 8: 23.0}
 

@@ -1,0 +1,44 @@
+# Method names ("tome", "adamerge", ...) belong to the command line. The
+# library modules take the two knobs of a RunConfig (salience on/off and
+# a schedule), so none of them may import the CLI, hold an alias table
+# or spell a method name.
+
+import ast
+import os
+
+import pytest
+
+from adamerge.cli import METHOD_ALIASES
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "adamerge")
+LIBRARY = ("runtime", "calibration", "schedule", "matcher", "salience",
+           "numeric", "flops")
+
+
+def imported_modules(node):
+    """Absolute names a (from-)import statement may bind in adamerge."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    base = ".".join(p for p in ("adamerge" if node.level else "",
+                                node.module or "") if p)
+    return [base] + [f"{base}.{a.name}" for a in node.names]
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_library_module_knows_no_method_name(module):
+    with open(os.path.join(SRC, f"{module}.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in imported_modules(node):
+                assert not (name == "adamerge.cli" or
+                            name.startswith("adamerge.cli.")), \
+                    f"{module} imports {name} (line {node.lineno})"
+        elif isinstance(node, (ast.Name, ast.alias)):
+            name = node.id if isinstance(node, ast.Name) else node.asname or node.name
+            assert name != "METHOD_ALIASES", \
+                f"{module} names METHOD_ALIASES (line {getattr(node, 'lineno', '?')})"
+        elif isinstance(node, ast.Constant):
+            assert node.value not in METHOD_ALIASES, \
+                f"{module} spells method name {node.value!r} (line {node.lineno})"

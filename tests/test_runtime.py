@@ -6,11 +6,11 @@ import pytest
 import naive_reference as ref
 from adamerge import calibration, data
 from adamerge.archive import ArchiveError
+from adamerge.cli import method_knobs
 from adamerge.runtime import (BlockWeights, ModelDims, RunConfig,
                               TokenSequence, forward_block, forward_model,
-                              load_weights, method_knobs, save_weights,
-                              synth_weights)
-from adamerge.schedule import ScheduleConfig
+                              load_weights, save_weights, synth_weights)
+from adamerge.schedule import LayerStats, ScheduleConfig
 
 
 def zero_block(d, d_ff):
@@ -99,14 +99,25 @@ class TestForwardModel:
             assert cur.n_before == prev.n_before - prev.r
             assert prev.n_after == prev.n_before - prev.r
 
-    def test_fixed_r_above_a_is_clamped_and_flagged(self, model, image):
+    # mu far below any sbar puts z near 10, so r_from_z gives ~r_max
+    @pytest.mark.parametrize("big,small,r_small", [
+        (200, 3, 3),
+        (ScheduleConfig(r_max=200), ScheduleConfig(r_max=6), 5)],
+        ids=["fixed", "adaptive"])
+    def test_r_above_a_is_clamped_and_flagged(self, model, image, big, small,
+                                              r_small):
+        stats = LayerStats(model_id=model.model_id, mu=np.full(4, -10.0),
+                           sigma=np.ones(4), r_max=200, alpha=1.0,
+                           temperature=1.0, passes=1, calibration_size=1)
         _, trace = forward_model(make_seq(image), model,
-                                 RunConfig(salience=False, schedule=200))
+                                 RunConfig(salience=False, schedule=big,
+                                           stats=stats))
         first = trace.layers[0]
         assert first.r == (first.n_before + 1) // 2 == 12 and first.r_clamped
         _, trace = forward_model(make_seq(image), model,
-                                 RunConfig(salience=False, schedule=3))
-        assert trace.layers[0].r == 3 and not trace.layers[0].r_clamped
+                                 RunConfig(salience=False, schedule=small,
+                                           stats=stats))
+        assert trace.layers[0].r == r_small and not trace.layers[0].r_clamped
 
     def test_cls_untouched_by_merge(self, model, image):
         _, trace = forward_model(make_seq(image), model,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adamerge.schedule import (LayerStats, ScheduleConfig, decide_r, logistic,
-                               redundancy_proxy, zscore)
+                               r_from_z, redundancy_proxy, zscore)
 
 
 def make_stats(layers=4, mu=0.5, sigma=0.1):
@@ -56,6 +56,11 @@ class TestDecideR:
         stats = make_stats()
         cfg = ScheduleConfig(r_max=9)
         assert decide_r(-100.0, stats, 0, cfg, a_size=100) == 0
+
+    def test_r_from_z_leaves_the_a_clamp_to_the_merge_step(self):
+        # select_merges clamps to |A| and flags it; decide_r clamps itself
+        assert r_from_z(100.0, ScheduleConfig(r_max=9)) == 9
+        assert r_from_z(-100.0, ScheduleConfig(r_max=9)) == 0
 
     def test_monotone_in_sbar(self):
         stats = make_stats()
