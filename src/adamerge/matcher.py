@@ -37,19 +37,23 @@ class MergeDecision:
     """Chosen merges for one layer.
 
     edges: (source index in A, dest index in B, score), one per merged
-    A token, sorted by source index. groups maps each dest in B to its
-    sources in A. r equals len(edges) = tokens removed. keep_a lists the
-    A tokens that survive, in order.
+    A token, sorted by source index. The rest follows from the edges:
+    r = len(edges) tokens removed, groups maps each dest in B to its
+    sources in A, keep_a lists the A tokens that survive, in order.
     """
     n_a: int
     n_b: int
-    r: int = 0
     edges: list = field(default_factory=list)
-    groups: dict = field(default_factory=dict)
     r_clamped: bool = False
+    r: int = field(init=False)
+    groups: dict = field(init=False)
     keep_a: list = field(init=False)
 
     def __post_init__(self):
+        self.r = len(self.edges)
+        self.groups = {}
+        for src, dst, _ in self.edges:
+            self.groups.setdefault(dst, []).append(src)
         merged = {src for src, _, _ in self.edges}
         self.keep_a = [i for i in range(self.n_a) if i not in merged]
 
@@ -86,21 +90,15 @@ def select_merges(scores: np.ndarray, r: int) -> MergeDecision:
         return MergeDecision(n_a=n_a, n_b=n_b)
     r_clamped = r > n_a
     r = max(min(r, n_a), 0)
-    if r == 0:
-        return MergeDecision(n_a=n_a, n_b=n_b, r_clamped=r_clamped)
 
     best_j = scores.argmax(axis=1)  # first occurrence wins ties
     best_s = scores[np.arange(n_a), best_j].astype(np.float64)
     # score descending; the stable sort keeps tied rows in index order
     order = np.argsort(-best_s, kind="stable")
 
-    edges, groups = [], {}
-    for i in sorted(order[:r].tolist()):
-        j = int(best_j[i])
-        edges.append((i, j, float(best_s[i])))
-        groups.setdefault(j, []).append(i)
-    return MergeDecision(n_a=n_a, n_b=n_b, r=r, edges=edges, groups=groups,
-                         r_clamped=r_clamped)
+    edges = [(i, int(best_j[i]), float(best_s[i]))
+             for i in sorted(order[:r].tolist())]
+    return MergeDecision(n_a=n_a, n_b=n_b, edges=edges, r_clamped=r_clamped)
 
 
 def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,

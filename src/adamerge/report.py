@@ -4,6 +4,8 @@
 import csv
 import math
 
+from .matcher import MergeDecision, partition
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 SURVIVED_COLOR = "#2ca02c"
@@ -11,14 +13,17 @@ MERGED_COLOR = "#d62728"
 
 
 def write_run_csv(path: str, rows) -> None:
-    """Per-layer run records: image_id, layer, N_before, r_l, sbar, z."""
+    """Per-layer run records: image_id, layer, N_before, r_l, sbar, z,
+    then the merger's flags r_clamped, mean_fallback and empty_b as 0/1."""
+    flags = ("r_clamped", "mean_fallback", "empty_b")
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["image_id", "layer", "n_before", "r", "sbar", "z"])
+        w.writerow(["image_id", "layer", "n_before", "r", "sbar", "z", *flags])
         for image_id, trace in rows:
             for rec in trace.layers:
                 w.writerow([image_id, rec.layer, rec.n_before, rec.r,
-                            f"{rec.sbar:.9f}", f"{rec.z:.9f}"])
+                            f"{rec.sbar:.9f}", f"{rec.z:.9f}",
+                            *(int(getattr(rec, k)) for k in flags)])
 
 
 def write_compare_csv(path: str, rows) -> None:
@@ -109,18 +114,19 @@ def merge_map_state(trace):
     Returns (merged_at, salience_by_layer): merged_at maps original token
     index -> layer it was absorbed (absent = survived); salience_by_layer
     is, per layer, a dict original-token -> normalized salience of the
-    token currently representing it.
+    token currently representing it. Rebuilt by replaying each layer's
+    edges through the matcher's partition and survivor order.
     """
     merged_at = {}
     sal_layers = []
+    reps = list(range(trace.layers[0].n_before)) if trace.layers else []
     for rec in trace.layers:
-        for orig in rec.merged_reps:
-            merged_at.setdefault(orig, rec.layer)
-        layer_sal = {}
-        if rec.rep_ids is not None and rec.rep_salience is not None:
-            for orig, s in zip(rec.rep_ids, rec.rep_salience):
-                layer_sal[orig] = s
-        sal_layers.append(layer_sal)
+        for src, _, _ in rec.edges:
+            merged_at.setdefault(reps[src], rec.layer)
+        part = partition(rec.n_before)
+        reps = [reps[i] for i in MergeDecision(part.n_a, part.n_b, rec.edges).survivors]
+        sal_layers.append({} if rec.rep_salience is None
+                          else dict(zip(reps, rec.rep_salience)))
     return merged_at, sal_layers
 
 

@@ -119,15 +119,13 @@ class LayerRecord:
     z: float
     raw_salience_sum: float
     edges: list = field(default_factory=list)
-    merged_reps: list = field(default_factory=list)  # original ids absorbed here
     sizes_total: int = 0   # sum of token sizes after the merge step
     mean_fallback: bool = False
     r_clamped: bool = False
     empty_b: bool = False
     cls_digest_pre: str = ""
     cls_digest_post: str = ""
-    rep_ids: list | None = None        # per surviving token, original id
-    rep_salience: list | None = None   # matching normalized salience
+    rep_salience: list | None = None   # per surviving token, normalized salience
 
 
 @dataclass
@@ -197,27 +195,31 @@ def forward_block(tokens: np.ndarray, block: BlockWeights, dims: ModelDims) -> n
     return x + mlp
 
 
-def _merge_step(seq: TokenSequence, layer: int, cfg: RunConfig,
-                reps: list) -> LayerRecord:
-    """Run salience/partition/score/select/merge in place on seq."""
-    n = seq.patches.shape[0]
-    sal = salience_of(seq.patches)
+def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
+                cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, LayerRecord]:
+    """Run salience/partition/score/select/merge on the patch tokens.
+
+    Returns the merged (patches, sizes) and the layer's record; writes to
+    none of its arguments.
+    """
+    n = patches.shape[0]
+    sal = salience_of(patches)
 
     part = partition(n)
     rec = LayerRecord(layer=layer, n_before=n, n_after=n, r=0, sbar=0.0,
                       z=0.0, raw_salience_sum=float(sal.raw.sum()),
-                      sizes_total=int(seq.sizes.sum()))
+                      sizes_total=int(sizes.sum()))
     if part.n_b == 0:
         rec.empty_b = True
-        return rec
+        return patches, sizes, rec
 
     # the only difference between the two settings: which vectors weight
     # the scores (salience or none) and the group means (salience or sizes)
     if cfg.salience:
         score_w, merge_w = sal.normalized[:part.n_a], sal.normalized
     else:
-        score_w, merge_w = None, seq.sizes
-    scores = weighted_scores(seq.patches[:part.n_a], seq.patches[part.n_a:], score_w)
+        score_w, merge_w = None, sizes
+    scores = weighted_scores(patches[:part.n_a], patches[part.n_a:], score_w)
     rec.sbar = redundancy_proxy(scores)
 
     sched = cfg.schedule
@@ -228,34 +230,24 @@ def _merge_step(seq: TokenSequence, layer: int, cfg: RunConfig,
         r = sched
 
     decision = select_merges(scores, r)
+    merged, sal_out, merged_sizes, rec.mean_fallback = execute_merge(
+        patches, sal.normalized, sizes, decision, merge_w)
     rec.r = decision.r
     rec.r_clamped = decision.r_clamped
-    rec.edges = list(decision.edges)
-
-    patches, sal_out, sizes, fallback = execute_merge(
-        seq.patches, sal.normalized, seq.sizes, decision, merge_w)
-    rec.mean_fallback = fallback
-
-    # original-token bookkeeping for merge maps
-    rec.merged_reps = [reps[src] for src, _, _ in decision.edges]
-    reps[:] = [reps[i] for i in decision.keep_a] + reps[part.n_a:]
-
-    seq.patches = patches
-    seq.sizes = sizes
-    rec.n_after = patches.shape[0]
-    rec.sizes_total = int(sizes.sum())
+    rec.edges = decision.edges
+    rec.n_after = merged.shape[0]
+    rec.sizes_total = int(merged_sizes.sum())
     if cfg.track_maps:
-        rec.rep_ids = list(reps)
         rec.rep_salience = [float(s) for s in sal_out]
-    return rec
+    return merged, merged_sizes, rec
 
 
 def forward_model(seq_in: TokenSequence, weights: ModelWeights,
                   cfg: RunConfig) -> tuple[np.ndarray, RunTrace]:
     """Full forward pass with the merge hook before each block.
 
-    Returns (logits, trace). schedule=None skips merging entirely and is
-    the vanilla ViT forward.
+    Returns (logits, trace); seq_in and its arrays are left as given.
+    schedule=None skips merging entirely and is the vanilla ViT forward.
     """
     dims = weights.dims
     if isinstance(cfg.schedule, ScheduleConfig):
@@ -268,30 +260,26 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
                 f"stats cover {cfg.stats.num_layers} layers, model has {dims.layers}")
 
     _keep_temporaries_on_heap()
-    seq = TokenSequence(cls=seq_in.cls.copy(),
-                        patches=seq_in.patches.copy(),
-                        sizes=seq_in.sizes.copy())
-    reps = list(range(seq.patches.shape[0]))
+    cls, patches, sizes = seq_in.cls, seq_in.patches, seq_in.sizes
     trace = RunTrace(merging=cfg.schedule is not None)
 
     for l, block in enumerate(weights.blocks):
         if not trace.merging:
-            rec = LayerRecord(layer=l, n_before=seq.patches.shape[0],
-                              n_after=seq.patches.shape[0], r=0,
+            rec = LayerRecord(layer=l, n_before=patches.shape[0],
+                              n_after=patches.shape[0], r=0,
                               sbar=0.0, z=0.0, raw_salience_sum=0.0)
         else:
-            pre = _digest(seq.cls)
-            rec = _merge_step(seq, l, cfg, reps)
+            pre = _digest(cls)
+            patches, sizes, rec = _merge_step(patches, sizes, l, cfg)
             rec.cls_digest_pre = pre
-            rec.cls_digest_post = _digest(seq.cls)
+            rec.cls_digest_post = _digest(cls)
         trace.layers.append(rec)
 
-        tokens = np.concatenate([seq.cls[None, :], seq.patches], axis=0)
-        tokens = forward_block(tokens, block, dims)
-        seq.cls = tokens[0]
-        seq.patches = tokens[1:]
+        tokens = forward_block(np.concatenate([cls[None, :], patches], axis=0),
+                               block, dims)
+        cls, patches = tokens[0], tokens[1:]
 
-    final = layer_norm(seq.cls[None, :], weights.final_gamma, weights.final_beta)
+    final = layer_norm(cls[None, :], weights.final_gamma, weights.final_beta)
     logits = matmul(final, weights.w_head)[0] + weights.b_head.astype(DTYPE)
     return logits, trace
 

@@ -9,6 +9,10 @@ import numpy as np
 SIGMA_FLOOR = 1e-6
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class ScheduleConfig:
     """The adaptive schedule: r = floor(r_max * sigmoid(alpha * z / T))."""
@@ -17,8 +21,8 @@ class ScheduleConfig:
     temperature: float = 1.0  # z <- z / T; smaller T sharpens the decision
 
     def __post_init__(self):
-        if self.r_max < 0:
-            raise ValueError(f"r_max must be >= 0, got {self.r_max}")
+        if not _is_int(self.r_max) or self.r_max < 0:
+            raise ValueError(f"r_max must be an integer >= 0, got r_max={self.r_max!r}")
         for name in ("alpha", "temperature"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(
@@ -40,6 +44,13 @@ class LayerStats:
     calibration_size: int
 
     def __post_init__(self):
+        # the schedule fields obey ScheduleConfig's own rules
+        ScheduleConfig(r_max=self.r_max, alpha=self.alpha,
+                       temperature=self.temperature)
+        for name in ("passes", "calibration_size"):
+            v = getattr(self, name)
+            if not _is_int(v) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {name}={v!r}")
         self.mu = np.asarray(self.mu, dtype=np.float64)
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
         if len(self.mu) != len(self.sigma):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -71,12 +72,24 @@ class TestRun:
         rows = list(csv.DictReader(open(out_csv)))
         assert len(rows) == 8 * 4
         assert set(rows[0]) == {"image_id", "layer", "n_before", "r",
-                                "sbar", "z"}
+                                "sbar", "z", "r_clamped", "mean_fallback",
+                                "empty_b"}
         # ledger: n_before chains across layers
         for img in range(8):
             recs = [r for r in rows if r["image_id"] == str(img)]
             for a, b in zip(recs, recs[1:]):
                 assert int(b["n_before"]) == int(a["n_before"]) - int(a["r"])
+
+    def test_clamped_r_is_flagged_in_csv(self, workspace, tmp_path):
+        # 24 tokens: |A| is 12, 6, 3 and 2 at the four layers, all below 200
+        out_csv = tmp_path / "run.csv"
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "tome", "--r", "200",
+                     "--out-csv", str(out_csv)]) == 0
+        rows = list(csv.DictReader(open(out_csv)))
+        assert len(rows) == 8 * 4
+        assert all(r["r_clamped"] == "1" for r in rows)
+        assert [r["r"] for r in rows[:4]] == ["12", "6", "3", "2"]
 
     def test_summary_flops_are_the_mean_over_images(self, workspace, capsys):
         assert main(["run", "--weights", workspace["weights"], "--dataset",
@@ -194,6 +207,31 @@ class TestViz:
         for layer in range(4):
             assert len(by_layer.get(layer, set())) == 2 * (layer + 1)
 
+    # SHA-256 of image 0's merge map (CSV, SVG), taken while the runtime
+    # still tracked original-token ids; the replay of the recorded edges
+    # must give the same files
+    PINNED = {
+        ("tome", "--r", "2"): (
+            "0c0f03dd39e9679f40c760e95e7f1d7729f31610b50a8ac607c78a2d87e14c5a",
+            "a6905472a83fbda4bc70de2614977798017d0b2620bcc42b34a1cc420b82aed9"),
+        ("adamerge", "--r-max", "6"): (
+            "b2fe89dbcd18627960ca5596b0b063d3be9fef79310f7356b6986fa9c5d3184b",
+            "74873a2dd6c49ae404792209ba605154f1c628074bef483fb8f3a3ca826954ce"),
+    }
+
+    @pytest.mark.parametrize("method,flag,value", list(PINNED),
+                             ids=["tome", "adamerge"])
+    def test_merge_map_bytes_are_pinned(self, workspace, tmp_path, method,
+                                        flag, value):
+        out_csv, out_svg = tmp_path / "viz.csv", tmp_path / "viz.svg"
+        assert main(["viz", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", method, flag, value,
+                     "--stats", workspace["stats"], "--out-csv", str(out_csv),
+                     "--out-svg", str(out_svg)]) == 0
+        got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (out_csv, out_svg))
+        assert got == self.PINNED[method, flag, value]
+
     def test_out_of_range_index(self, workspace):
         assert main(["viz", "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--method", "none",
@@ -298,6 +336,26 @@ class TestRejectedSchedules:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("temperature", 0, "temperature must be > 0"),
+        ("alpha", float("nan"), "alpha must be finite"),
+        ("r_max", -3, "r_max must be an integer >= 0"),
+        ("r_max", 2.5, "r_max must be an integer >= 0"),
+        ("r_max", True, "r_max must be an integer >= 0"),
+        ("passes", "two", "passes must be an integer >= 1"),
+        ("calibration_size", -1, "calibration_size must be an integer >= 1")])
+    def test_bad_schedule_field_in_stats_is_data_error(
+            self, workspace, tmp_path, capsys, field, value, message):
+        doc = json.loads(open(workspace["stats"]).read())
+        doc[field] = value
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge", "--r-max",
+                     "6", "--stats", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: {message}" in err and "warning" not in err, err
+
     @pytest.mark.parametrize("value", ["Infinity", "NaN"])
     def test_non_finite_stats_is_data_error(self, workspace, tmp_path, capsys,
                                             value):
@@ -354,7 +412,5 @@ class TestAliases:
         for (la, ta), (lb, tb) in zip(run_images(weights, images, a),
                                       run_images(weights, images, b)):
             assert la.tobytes() == lb.tobytes()
-            assert [(rec.r, rec.edges, rec.sbar, rec.merged_reps)
-                    for rec in ta.layers] == \
-                [(rec.r, rec.edges, rec.sbar, rec.merged_reps)
-                 for rec in tb.layers]
+            assert [(rec.r, rec.edges, rec.sbar) for rec in ta.layers] == \
+                [(rec.r, rec.edges, rec.sbar) for rec in tb.layers]

@@ -89,6 +89,7 @@ class TestSelectMerges:
     def test_clamp_flag(self):
         d = select_merges(rnd((2, 2), 1), 5)
         assert d.r == 2 and d.r_clamped
+        assert MergeDecision(2, 2, d.edges, d.r_clamped) == d
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -100,6 +101,9 @@ class TestSelectMerges:
             d = select_merges(scores, r)
             assert sorted((i, j) for i, j, _ in d.edges) == \
                 brute_force_select(scores, r)
+            # everything else in the decision follows from its edges
+            assert MergeDecision(n_a, n_b, d.edges, d.r_clamped) == d
+            assert d.r == len(d.edges)
 
     def test_tie_breaking_by_index(self):
         scores = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.1]],
@@ -126,8 +130,7 @@ class TestSelectMerges:
 
 class TestExecuteMerge:
     def pair_decision(self):
-        return MergeDecision(n_a=1, n_b=1, r=1, edges=[(0, 0, 1.0)],
-                             groups={0: [0]})
+        return MergeDecision(n_a=1, n_b=1, edges=[(0, 0, 1.0)])
 
     def test_equal_salience_averages(self):
         patches = rnd((2, 4), 0)

@@ -119,6 +119,23 @@ class TestForwardModel:
                                            stats=stats))
         assert trace.layers[0].r == r_small and not trace.layers[0].r_clamped
 
+    @pytest.mark.parametrize("schedule", [None, 3, ScheduleConfig(r_max=6)],
+                             ids=["none", "fixed", "adaptive"])
+    def test_input_sequence_left_as_given(self, model, image, schedule):
+        stats = LayerStats(model_id=model.model_id, mu=np.zeros(4),
+                           sigma=np.full(4, 0.1), r_max=6, alpha=1.0,
+                           temperature=1.0, passes=1, calibration_size=1)
+        seq = make_seq(image)
+        arrays = (seq.cls, seq.patches, seq.sizes)
+        before = [a.tobytes() for a in arrays]
+        _, trace = forward_model(seq, model, RunConfig(schedule=schedule,
+                                                       stats=stats))
+        if schedule is not None:
+            assert trace.total_merges > 0
+        assert all(got is want for got, want in
+                   zip((seq.cls, seq.patches, seq.sizes), arrays))
+        assert [a.tobytes() for a in arrays] == before
+
     def test_cls_untouched_by_merge(self, model, image):
         _, trace = forward_model(make_seq(image), model,
                                  fixed_cfg("adamerge", 4))
