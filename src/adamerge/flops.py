@@ -1,17 +1,20 @@
 # Analytic FLOPs accounting over a run trace, in MACs (1 MAC = 1 FLOP;
 # double every figure for the multiply+add convention).
 # Per block over n tokens: qkv + output projections 4*n*d^2, attention
-# score + value 2*n^2*d, MLP 2*n*d*d_ff. The merge overhead (affinity
-# matrix over the patch tokens, n_patch^2*d) is counted once per layer
-# and reported separately.
+# score + value 2*n^2*d, MLP 2*n*d*d_ff. The merge overhead is what the
+# merge step runs, counted once per layer and reported separately: the
+# n_a*n_b*d cosine scores whenever B is non-empty, plus the n_patch^2*d
+# affinity matrix on layers that computed salience.
 
 from dataclasses import dataclass
+
+from .matcher import partition
 
 
 @dataclass
 class FlopsReport:
     total: int            # core cost over the actual per-layer lengths
-    overhead: int         # merge-step affinity cost (0 when not merging)
+    overhead: int         # merge-step scoring + salience cost (0 when not merging)
     baseline: int         # merge-free model at the input length
     include_overhead: bool
 
@@ -30,9 +33,15 @@ def block_flops(n_tokens: int, d: int, d_ff: int) -> int:
     return 4 * n * d * d + 2 * n * n * d + 2 * n * d * d_ff
 
 
-def merge_overhead_flops(n_patch: int, d: int) -> int:
-    """Affinity-matrix cost of one merge step over n_patch patch tokens."""
-    return n_patch * n_patch * d
+def merge_overhead_flops(n_patch: int, d: int, salience: bool) -> int:
+    """Cost of one merge step over n_patch patch tokens: the |A| x |B|
+    cosine scores, plus the n_patch x n_patch affinity matrix when the
+    step computes salience."""
+    part = partition(n_patch)
+    cost = part.n_a * part.n_b * d
+    if salience:
+        cost += n_patch * n_patch * d
+    return cost
 
 
 def model_flops(token_lengths, d: int, d_ff: int) -> int:
@@ -69,6 +78,7 @@ def trace_flops(trace, dims, include_overhead: bool = False) -> FlopsReport:
         total += block_flops(n_block, dims.d, dims.d_ff)
         baseline += block_flops(n0 + 1, dims.d, dims.d_ff)
         if trace.merging:
-            overhead += merge_overhead_flops(rec.n_before, dims.d)
+            overhead += merge_overhead_flops(
+                rec.n_before, dims.d, rec.raw_salience_sum is not None)
     return FlopsReport(total=total, overhead=overhead, baseline=baseline,
                        include_overhead=include_overhead)

@@ -101,8 +101,9 @@ def select_merges(scores: np.ndarray, r: int) -> MergeDecision:
     return MergeDecision(n_a=n_a, n_b=n_b, edges=edges, r_clamped=r_clamped)
 
 
-def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
-                  decision: MergeDecision, weights: np.ndarray):
+def execute_merge(patches: np.ndarray, salience: np.ndarray | None,
+                  sizes: np.ndarray, decision: MergeDecision,
+                  weights: np.ndarray):
     """Apply a MergeDecision to the token arrays.
 
     Group feature = `weights`-weighted mean over dest plus sources (the
@@ -112,7 +113,8 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
 
     Returns (patches, salience, sizes, mean_fallback) where mean_fallback
     reports that some group had zero total weight and fell back to the
-    arithmetic mean.
+    arithmetic mean. salience=None carries no salience through the merge
+    and returns None in its place.
     """
     n_a = decision.n_a
     n = patches.shape[0]
@@ -120,11 +122,12 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
         raise ValueError(
             f"decision built for {n_a + decision.n_b} tokens, got {n}")
 
-    salience = np.asarray(salience, dtype=np.float64).copy()
+    if salience is not None:
+        salience = np.asarray(salience, dtype=np.float64).copy()
+        new_b_sal = salience[n_a:].copy()
     sizes = np.asarray(sizes, dtype=np.int64).copy()
     weights = np.asarray(weights, dtype=np.float64)
     new_b = patches[n_a:].copy()
-    new_b_sal = salience[n_a:].copy()
     new_b_sizes = sizes[n_a:].copy()
 
     mean_fallback = False
@@ -139,12 +142,14 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray, sizes: np.ndarray,
         else:
             merged = (w[:, None] * feats).sum(axis=0) / wsum
         new_b[j] = merged.astype(DTYPE)
-        new_b_sal[j] = salience[members].max()
+        if salience is not None:
+            new_b_sal[j] = salience[members].max()
         new_b_sizes[j] = sizes[members].sum()
 
     keep_a = decision.keep_a
     out_patches = np.concatenate([patches[keep_a], new_b], axis=0)
-    out_salience = np.concatenate([salience[keep_a], new_b_sal])
+    out_salience = (None if salience is None
+                    else np.concatenate([salience[keep_a], new_b_sal]))
     out_sizes = np.concatenate([sizes[keep_a], new_b_sizes])
     return out_patches, out_salience, out_sizes, mean_fallback
 

@@ -117,7 +117,7 @@ class LayerRecord:
     r: int
     sbar: float
     z: float
-    raw_salience_sum: float
+    raw_salience_sum: float | None = None   # None: the step computed no salience
     edges: list = field(default_factory=list)
     sizes_total: int = 0   # sum of token sizes after the merge step
     mean_fallback: bool = False
@@ -197,18 +197,23 @@ def forward_block(tokens: np.ndarray, block: BlockWeights, dims: ModelDims) -> n
 
 def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
                 cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, LayerRecord]:
-    """Run salience/partition/score/select/merge on the patch tokens.
+    """Run partition/score/select/merge on the patch tokens, computing
+    salience only when cfg.salience or cfg.track_maps reads it.
 
     Returns the merged (patches, sizes) and the layer's record; writes to
     none of its arguments.
     """
     n = patches.shape[0]
-    sal = salience_of(patches)
-
     part = partition(n)
     rec = LayerRecord(layer=layer, n_before=n, n_after=n, r=0, sbar=0.0,
-                      z=0.0, raw_salience_sum=float(sal.raw.sum()),
-                      sizes_total=int(sizes.sum()))
+                      z=0.0, sizes_total=int(sizes.sum()))
+    # normalized salience, computed only where something reads it: the
+    # weights of a salience run, or the per-token map of track_maps
+    norm = None
+    if cfg.salience or cfg.track_maps:
+        sal = salience_of(patches)
+        rec.raw_salience_sum = float(sal.raw.sum())
+        norm = sal.normalized
     if part.n_b == 0:
         rec.empty_b = True
         return patches, sizes, rec
@@ -216,7 +221,7 @@ def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
     # the only difference between the two settings: which vectors weight
     # the scores (salience or none) and the group means (salience or sizes)
     if cfg.salience:
-        score_w, merge_w = sal.normalized[:part.n_a], sal.normalized
+        score_w, merge_w = norm[:part.n_a], norm
     else:
         score_w, merge_w = None, sizes
     scores = weighted_scores(patches[:part.n_a], patches[part.n_a:], score_w)
@@ -231,7 +236,7 @@ def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
 
     decision = select_merges(scores, r)
     merged, sal_out, merged_sizes, rec.mean_fallback = execute_merge(
-        patches, sal.normalized, sizes, decision, merge_w)
+        patches, norm, sizes, decision, merge_w)
     rec.r = decision.r
     rec.r_clamped = decision.r_clamped
     rec.edges = decision.edges
@@ -266,8 +271,7 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
     for l, block in enumerate(weights.blocks):
         if not trace.merging:
             rec = LayerRecord(layer=l, n_before=patches.shape[0],
-                              n_after=patches.shape[0], r=0,
-                              sbar=0.0, z=0.0, raw_salience_sum=0.0)
+                              n_after=patches.shape[0], r=0, sbar=0.0, z=0.0)
         else:
             pre = _digest(cls)
             patches, sizes, rec = _merge_step(patches, sizes, l, cfg)

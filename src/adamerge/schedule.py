@@ -13,6 +13,11 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) \
+        and not isinstance(v, bool)
+
+
 @dataclass
 class ScheduleConfig:
     """The adaptive schedule: r = floor(r_max * sigmoid(alpha * z / T))."""
@@ -24,9 +29,11 @@ class ScheduleConfig:
         if not _is_int(self.r_max) or self.r_max < 0:
             raise ValueError(f"r_max must be an integer >= 0, got r_max={self.r_max!r}")
         for name in ("alpha", "temperature"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {name}={getattr(self, name)}")
+            v = getattr(self, name)
+            if not _is_real(v):
+                raise ValueError(f"{name} must be a real number, got {name}={v!r}")
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {name}={v}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
 

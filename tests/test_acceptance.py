@@ -112,14 +112,18 @@ def test_criterion_3_tome_degeneracy():
     ok(3, "20/20 models match the independent ToMe reference at 1e-5")
 
 
-def _ledger_check(trace, n0):
+def _ledger_check(trace, n0, cfg):
     n = n0
     for rec in trace.layers:
         assert rec.n_before == n
         assert rec.n_after == rec.n_before - rec.r
+        # a merge step computes salience exactly when the run reads it
+        assert (rec.raw_salience_sum is not None) == \
+            (trace.merging and (cfg.salience or cfg.track_maps))
         if trace.merging:
             assert rec.sizes_total == n0
             assert rec.cls_digest_pre == rec.cls_digest_post != ""
+        if rec.raw_salience_sum is not None:
             assert abs(rec.raw_salience_sum - rec.n_before) <= \
                 1e-5 * rec.n_before
         n = rec.n_after
@@ -137,15 +141,17 @@ def test_criterion_4_conservation_ledger():
                RunConfig(salience=True, schedule=ScheduleConfig(r_max=6),
                          stats=stats),
                RunConfig(salience=False, schedule=ScheduleConfig(r_max=6),
-                         stats=stats)]
+                         stats=stats),
+               # salience off, computed for the map only
+               RunConfig(salience=False, schedule=3, track_maps=True)]
     runs = 0
     for cfg in configs:
         for img in images[:4]:
             seq = TokenSequence(cls=np.zeros(16, np.float32), patches=img)
             _, trace = forward_model(seq, w, cfg)
-            _ledger_check(trace, 30)
+            _ledger_check(trace, 30, cfg)
             runs += 1
-    ok(4, f"ledger holds for {runs} runs across 6 configurations")
+    ok(4, f"ledger holds for {runs} runs across {len(configs)} configurations")
 
 
 def test_criterion_5_adaptive_behavior():

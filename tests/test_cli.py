@@ -339,6 +339,10 @@ class TestRejectedSchedules:
     @pytest.mark.parametrize("field,value,message", [
         ("temperature", 0, "temperature must be > 0"),
         ("alpha", float("nan"), "alpha must be finite"),
+        ("alpha", "x", "alpha must be a real number, got alpha='x'"),
+        ("temperature", None, "temperature must be a real number"),
+        ("alpha", [1.0], "alpha must be a real number"),
+        ("alpha", True, "alpha must be a real number"),
         ("r_max", -3, "r_max must be an integer >= 0"),
         ("r_max", 2.5, "r_max must be an integer >= 0"),
         ("r_max", True, "r_max must be an integer >= 0"),

@@ -59,12 +59,22 @@ class TestTraceFlops:
         assert rep.total == want
 
     def test_overhead_counted_once_per_layer(self):
-        trace, dims = self.run_trace("tome", 8)
-        rep = trace_flops(trace, dims, include_overhead=True)
-        want = sum(merge_overhead_flops(rec.n_before, dims.d)
-                   for rec in trace.layers)
-        assert rep.overhead == want
-        assert rep.grand_total == rep.total + rep.overhead
+        # scoring on every layer; the affinity only where salience ran
+        for method, salience in (("tome", False), ("sw-only", True)):
+            trace, dims = self.run_trace(method, 8)
+            rep = trace_flops(trace, dims, include_overhead=True)
+            want = sum(merge_overhead_flops(rec.n_before, dims.d, salience)
+                       for rec in trace.layers)
+            assert rep.overhead == want
+            assert rep.grand_total == rep.total + rep.overhead
+
+    def test_overhead_is_scoring_plus_affinity(self):
+        # n = 5: |A| = 3, |B| = 2
+        assert merge_overhead_flops(5, 4, salience=False) == 3 * 2 * 4
+        assert merge_overhead_flops(5, 4, salience=True) == 3 * 2 * 4 + 5 * 5 * 4
+        # an empty B scores nothing
+        assert merge_overhead_flops(1, 4, salience=False) == 0
+        assert merge_overhead_flops(1, 4, salience=True) == 4
 
     def test_monotone_in_r(self):
         prev = None

@@ -307,8 +307,15 @@ class TestMergeProperties:
         n = x.shape[0]
         n_a = partition(n).n_a
         d = decide(x, sal[:n_a] if salience else None, r)
-        out, out_sal, out_sizes, _ = execute_merge(
+        out, out_sal, out_sizes, fallback = execute_merge(
             x, sal, sizes, d, sal if salience else sizes)
+        if not salience:
+            # without salience only the salience slot changes: it is None
+            bare = execute_merge(x, None, sizes, d, sizes)
+            assert bare[1] is None
+            assert bare[0].tobytes() == out.tobytes()
+            assert bare[2].tobytes() == out_sizes.tobytes()
+            assert bare[3] == fallback
         assert out_sizes.sum() == sizes.sum()
         assert out.shape[0] == out_sal.shape[0] == out_sizes.shape[0] == n - d.r
         keep = len(d.keep_a)

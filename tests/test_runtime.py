@@ -75,6 +75,12 @@ def make_seq(image, d=16):
                         patches=np.asarray(image, dtype=np.float32))
 
 
+def flat_stats(model):
+    return LayerStats(model_id=model.model_id, mu=np.zeros(4),
+                      sigma=np.full(4, 0.1), r_max=6, alpha=1.0,
+                      temperature=1.0, passes=1, calibration_size=1)
+
+
 class TestForwardModel:
     def test_none_keeps_length_and_matches_vanilla(self, model, image):
         logits, trace = forward_model(make_seq(image), model,
@@ -122,9 +128,7 @@ class TestForwardModel:
     @pytest.mark.parametrize("schedule", [None, 3, ScheduleConfig(r_max=6)],
                              ids=["none", "fixed", "adaptive"])
     def test_input_sequence_left_as_given(self, model, image, schedule):
-        stats = LayerStats(model_id=model.model_id, mu=np.zeros(4),
-                           sigma=np.full(4, 0.1), r_max=6, alpha=1.0,
-                           temperature=1.0, passes=1, calibration_size=1)
+        stats = flat_stats(model)
         seq = make_seq(image)
         arrays = (seq.cls, seq.patches, seq.sizes)
         before = [a.tobytes() for a in arrays]
@@ -143,11 +147,16 @@ class TestForwardModel:
             assert rec.cls_digest_pre == rec.cls_digest_post != ""
 
     def test_salience_conservation_per_layer(self, model, image):
-        _, trace = forward_model(make_seq(image), model,
-                                 fixed_cfg("adamerge", 4))
-        for rec in trace.layers:
-            assert abs(rec.raw_salience_sum - rec.n_before) <= \
-                1e-5 * rec.n_before
+        for cfg in (fixed_cfg("adamerge", 4), fixed_cfg("tome", 4),
+                    RunConfig(salience=False, schedule=4, track_maps=True)):
+            _, trace = forward_model(make_seq(image), model, cfg)
+            for rec in trace.layers:
+                # a sum exactly where the run computes salience
+                assert (rec.raw_salience_sum is not None) == \
+                    (cfg.salience or cfg.track_maps)
+                if rec.raw_salience_sum is not None:
+                    assert abs(rec.raw_salience_sum - rec.n_before) <= \
+                        1e-5 * rec.n_before
 
     def test_adaptive_requires_stats(self, model, image):
         cfg = RunConfig(salience=True, schedule=ScheduleConfig(r_max=6))
@@ -187,6 +196,61 @@ class TestForwardModel:
             logits, trace = forward_model(seq, w, fixed_cfg("tome", 4))
             want_logits, _ = ref.ref_tome_forward(cls, img, w, r=4)
             assert np.allclose(logits, want_logits, atol=1e-5)
+
+
+class TestSalienceOnlyWhenRead:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Patch-token counts of every salience_of call the runtime makes."""
+        import adamerge.runtime as rt
+        seen = []
+        real = rt.salience_of
+
+        def counted(x):
+            seen.append(x.shape[0])
+            return real(x)
+
+        monkeypatch.setattr(rt, "salience_of", counted)
+        return seen
+
+    @pytest.mark.parametrize("salience,schedule,track_maps,per_layer", [
+        (False, None, False, 0),
+        (False, 3, False, 0),
+        (False, "adaptive", False, 0),
+        (True, 3, False, 1),
+        (True, "adaptive", False, 1),
+        (False, 3, True, 1),
+        (False, "adaptive", True, 1)],
+        ids=["none", "tome", "adp-only", "sw-only", "adamerge",
+             "tome-maps", "adp-only-maps"])
+    def test_calls_per_layer(self, model, image, calls, salience, schedule,
+                             track_maps, per_layer):
+        if schedule == "adaptive":
+            schedule = ScheduleConfig(r_max=6)
+        cfg = RunConfig(salience=salience, schedule=schedule,
+                        stats=flat_stats(model), track_maps=track_maps)
+        _, trace = forward_model(make_seq(image), model, cfg)
+        assert len(calls) == per_layer * len(trace.layers)
+        if per_layer:
+            assert calls == [rec.n_before for rec in trace.layers]
+
+    @pytest.mark.parametrize("schedule", [3, ScheduleConfig(r_max=6)],
+                             ids=["fixed", "adaptive"])
+    def test_maps_leave_a_salience_off_run_unchanged(self, model, schedule):
+        def run(img, track_maps):
+            return forward_model(make_seq(img), model, RunConfig(
+                salience=False, schedule=schedule, stats=flat_stats(model),
+                track_maps=track_maps))
+
+        for img in data.synth_images(3, 24, 16, 0.5, seed=12):
+            (l0, t0), (l1, t1) = run(img, False), run(img, True)
+            assert l0.tobytes() == l1.tobytes()
+            key = lambda rec: (rec.r, rec.edges, rec.sizes_total, rec.sbar, rec.z)
+            assert [key(rec) for rec in t0.layers] == \
+                [key(rec) for rec in t1.layers]
+            assert all(rec.rep_salience is None and rec.raw_salience_sum is None
+                       for rec in t0.layers)
+            assert all(rec.rep_salience is not None for rec in t1.layers)
 
 
 class TestWeightsArchive:
