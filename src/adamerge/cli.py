@@ -15,7 +15,7 @@ from . import calibration, data, flops, report
 from .archive import ArchiveError
 from .runtime import (ModelDims, RunConfig, load_weights, run_images,
                       save_weights, synth_weights)
-from .schedule import ScheduleConfig
+from .schedule import ScheduleConfig, _is_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,20 +90,32 @@ def build_run_config(method: str, *, r: int | None = None,
                      track_maps=track_maps)
 
 
-def _load_labels(path, n_images):
-    with open(path, "r", encoding="utf-8") as f:
-        labels = json.load(f)
-    if not isinstance(labels, list) or len(labels) != n_images:
-        raise ValueError(
-            f"labels file must be a list of {n_images} class indices")
-    return labels
+def _load_inputs(args):
+    """Weights, images and labels (None without --labels) of a command."""
+    weights = load_weights(args.weights)
+    images, _ = data.load_dataset(args.dataset)
+    if len(images) == 0:
+        raise ValueError(f"{args.dataset}: dataset is empty")
+    path, labels = getattr(args, "labels", None), None
+    if path:
+        with open(path, "r", encoding="utf-8") as f:
+            labels = json.load(f)
+        if not isinstance(labels, list) or len(labels) != len(images):
+            raise ValueError(
+                f"{path}: labels must be a list of {len(images)} class indices")
+        n_classes = weights.dims.n_classes
+        for i, y in enumerate(labels):
+            if not _is_int(y) or not 0 <= y < n_classes:
+                raise ValueError(f"{path}: label {i} is {y!r}; each label must "
+                                 f"be an integer in [0, {n_classes})")
+    return weights, images, labels
 
 
 def _accuracy(results, labels):
     if labels is None:
         return None
     hits = sum(1 for (logits, _), y in zip(results, labels)
-               if int(np.argmax(logits)) == int(y))
+               if int(np.argmax(logits)) == y)
     return hits / len(results)
 
 
@@ -140,8 +152,7 @@ def cmd_calibrate(args) -> int:
         raise ValueError(
             f"method {args.method!r} runs no merge step, so it has no "
             "redundancy statistics to calibrate")
-    weights = load_weights(args.weights)
-    images, _ = data.load_dataset(args.dataset)
+    weights, images, _ = _load_inputs(args)
     stats = calibration.refine(weights, images, args.r_max, alpha=args.alpha,
                                temperature=args.temperature,
                                passes=args.passes, salience=salience,
@@ -192,12 +203,8 @@ def _measure(weights, images, cfg, args, labels):
 
 
 def cmd_run(args) -> int:
-    weights = load_weights(args.weights)
-    images, _ = data.load_dataset(args.dataset)
-    if len(images) == 0:
-        raise ValueError("dataset is empty")
+    weights, images, labels = _load_inputs(args)
     cfg = _cfg_from_args(args, weights)
-    labels = _load_labels(args.labels, len(images)) if args.labels else None
 
     results, row = _measure(weights, images, cfg, args, labels)
     if args.out_csv:
@@ -216,8 +223,7 @@ def cmd_run(args) -> int:
 def parse_config_spec(spec: str):
     """Parse 'method:key=val,key=val' comparison configs."""
     method, _, rest = spec.partition(":")
-    if method not in METHOD_ALIASES:
-        raise ValueError(f"unknown method in config {spec!r}")
+    method_knobs(method)
     opts = {}
     if rest:
         for kv in rest.split(","):
@@ -229,11 +235,7 @@ def parse_config_spec(spec: str):
 
 
 def cmd_compare(args) -> int:
-    weights = load_weights(args.weights)
-    images, _ = data.load_dataset(args.dataset)
-    if len(images) == 0:
-        raise ValueError("dataset is empty")
-    labels = _load_labels(args.labels, len(images)) if args.labels else None
+    weights, images, labels = _load_inputs(args)
     stats = _load_stats(args.stats, weights)
 
     rows = []
@@ -267,8 +269,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    weights = load_weights(args.weights)
-    images, _ = data.load_dataset(args.dataset)
+    weights, images, _ = _load_inputs(args)
     if not 0 <= args.image_index < len(images):
         raise ValueError(
             f"image index {args.image_index} out of range (dataset has "

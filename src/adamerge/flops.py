@@ -49,17 +49,15 @@ def model_flops(token_lengths, d: int, d_ff: int) -> int:
     return sum(block_flops(n, d, d_ff) for n in token_lengths)
 
 
-def fixed_schedule_lengths(n_patch0: int, r: int, layers: int,
-                           with_cls: bool = True) -> list:
-    """Per-layer token counts of a fixed-r schedule, N_l = n0 - r*l.
+def fixed_schedule_lengths(n_patch0: int, r: int, layers: int) -> list:
+    """Per-layer token counts of a fixed-r schedule, N_l = 1 + n0 - r*l.
 
     Layer 0 is charged at the full input length; merges at layer l show
     up in the cost of layer l+1 onward. This matches the reduction-table
     convention of ToMe-style accounting, where merging happens after a
     layer's attention.
     """
-    extra = 1 if with_cls else 0
-    return [max(n_patch0 - r * l, 0) + extra for l in range(layers)]
+    return [max(n_patch0 - r * l, 0) + 1 for l in range(layers)]
 
 
 def trace_flops(trace, dims, include_overhead: bool = False) -> FlopsReport:

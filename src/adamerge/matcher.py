@@ -123,9 +123,9 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray | None,
             f"decision built for {n_a + decision.n_b} tokens, got {n}")
 
     if salience is not None:
-        salience = np.asarray(salience, dtype=np.float64).copy()
+        salience = np.asarray(salience, dtype=np.float64)
         new_b_sal = salience[n_a:].copy()
-    sizes = np.asarray(sizes, dtype=np.int64).copy()
+    sizes = np.asarray(sizes, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     new_b = patches[n_a:].copy()
     new_b_sizes = sizes[n_a:].copy()

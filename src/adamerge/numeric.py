@@ -11,6 +11,7 @@ from scipy.special import erf
 DTYPE = np.float32
 
 _SQRT2 = np.sqrt(2.0)
+LN_EPS = 1e-6  # added to the variance in layer_norm, as in ViT's LayerNorm
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,8 +50,7 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.astype(DTYPE)
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = 1e-6) -> np.ndarray:
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Per-row normalization to zero mean / unit variance, then affine."""
     if gamma.shape[0] != x.shape[1] or beta.shape[0] != x.shape[1]:
         raise ValueError(
@@ -62,7 +62,7 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     xc = x.astype(np.float64)
     xc -= xc.sum(axis=1, keepdims=True) / n
     var = (xc * xc).sum(axis=1, keepdims=True) / n
-    xc /= np.sqrt(var + eps)
+    xc /= np.sqrt(var + LN_EPS)
     xc *= gamma.astype(np.float64)
     xc += beta.astype(np.float64)
     return xc.astype(DTYPE)

@@ -11,6 +11,11 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 SURVIVED_COLOR = "#2ca02c"
 MERGED_COLOR = "#d62728"
 
+# figure geometry in px: the line chart's (width, height); the merge map's
+# square per token, and the gap between its two grids and between layers
+CHART_SIZE = (640, 440)
+MAP_CELL, MAP_GAP = 9, 14
+
 
 def write_run_csv(path: str, rows) -> None:
     """Per-layer run records: image_id, layer, N_before, r_l, sbar, z,
@@ -40,8 +45,9 @@ def write_compare_csv(path: str, rows) -> None:
 
 
 def line_chart_svg(path: str, series: dict, xlabel: str, ylabel: str,
-                   title: str = "", width: int = 640, height: int = 440) -> None:
+                   title: str = "") -> None:
     """One polyline per series; series maps name -> list of (x, y)."""
+    width, height = CHART_SIZE
     pad = 60
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
@@ -130,26 +136,31 @@ def merge_map_state(trace):
     return merged_at, sal_layers
 
 
-def write_merge_map_csv(path: str, trace, n_tokens: int) -> None:
+def merge_map_cells(trace, n_tokens: int):
+    """Per layer, (record, cells): for each original token t, (the layer
+    that absorbed t or None, whether that layer is at or before this one,
+    the normalized salience of t's representative or None)."""
     merged_at, sal_layers = merge_map_state(trace)
+    for rec, sal in zip(trace.layers, sal_layers):
+        yield rec, [(merged_at.get(t), t in merged_at and merged_at[t] <= rec.layer,
+                     sal.get(t)) for t in range(n_tokens)]
+
+
+def write_merge_map_csv(path: str, trace, n_tokens: int) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["layer", "token", "status", "merged_at_layer", "salience"])
-        for rec in trace.layers:
-            sal = sal_layers[rec.layer]
-            for t in range(n_tokens):
-                ml = merged_at.get(t)
-                merged = ml is not None and ml <= rec.layer
+        for rec, cells in merge_map_cells(trace, n_tokens):
+            for t, (ml, merged, sal) in enumerate(cells):
                 w.writerow([rec.layer, t,
                             "merged" if merged else "survived",
                             "" if ml is None else ml,
-                            "" if t not in sal else f"{sal[t]:.6f}"])
+                            "" if sal is None else f"{sal:.6f}"])
 
 
-def write_merge_map_svg(path: str, trace, n_tokens: int,
-                        cell: int = 9, gap: int = 14) -> None:
+def write_merge_map_svg(path: str, trace, n_tokens: int) -> None:
     """One row per layer: survival grid (green/red) plus salience heat grid."""
-    merged_at, sal_layers = merge_map_state(trace)
+    cell, gap = MAP_CELL, MAP_GAP
     g = math.ceil(math.sqrt(n_tokens))
     grid_w = g * cell
     width = 120 + 2 * grid_w + 3 * gap
@@ -162,20 +173,17 @@ def write_merge_map_svg(path: str, trace, n_tokens: int,
              'font-size="12">survived / merged</text>',
              f'<text x="{120 + grid_w + gap + grid_w / 2}" y="20" '
              'text-anchor="middle" font-size="12">salience</text>']
-    for rec in trace.layers:
+    for rec, cells in merge_map_cells(trace, n_tokens):
         y_off = 34 + rec.layer * row_h
         parts.append(f'<text x="8" y="{y_off + grid_w / 2}" font-size="11">'
                      f'layer {rec.layer} (n={rec.n_before - rec.r})</text>')
-        sal = sal_layers[rec.layer]
-        for t in range(n_tokens):
+        for t, (_, merged, sal) in enumerate(cells):
             row, col = divmod(t, g)
-            ml = merged_at.get(t)
-            merged = ml is not None and ml <= rec.layer
             color = MERGED_COLOR if merged else SURVIVED_COLOR
             parts.append(f'<rect x="{120 + col * cell}" y="{y_off + row * cell}" '
                          f'width="{cell - 1}" height="{cell - 1}" fill="{color}"/>')
             x2 = 120 + grid_w + gap + col * cell
-            hcolor = _heat_color(sal[t]) if t in sal else "#cccccc"
+            hcolor = "#cccccc" if sal is None else _heat_color(sal)
             parts.append(f'<rect x="{x2}" y="{y_off + row * cell}" '
                          f'width="{cell - 1}" height="{cell - 1}" fill="{hcolor}"/>')
     parts.append("</svg>")

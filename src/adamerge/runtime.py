@@ -7,7 +7,7 @@ import ctypes
 import functools
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 import numpy as np
 
@@ -15,7 +15,8 @@ from . import archive
 from .matcher import execute_merge, partition, select_merges, weighted_scores
 from .numeric import DTYPE, gelu, layer_norm, matmul, row_softmax
 from .salience import salience_of
-from .schedule import LayerStats, ScheduleConfig, r_from_z, redundancy_proxy, zscore
+from .schedule import (LayerStats, ScheduleConfig, _is_int, r_from_z,
+                       redundancy_proxy, zscore)
 
 
 @dataclass
@@ -27,6 +28,10 @@ class ModelDims:
     n_classes: int = 1000
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not _is_int(v) or v < 1:
+                raise ValueError(f"{f.name} must be an integer >= 1, got {f.name}={v!r}")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
 
@@ -102,11 +107,6 @@ class ModelWeights:
 class TokenSequence:
     cls: np.ndarray       # [d]
     patches: np.ndarray   # [N, d]
-    sizes: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.sizes is None:
-            self.sizes = np.ones(self.patches.shape[0], dtype=np.int64)
 
 
 @dataclass
@@ -265,7 +265,8 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
                 f"stats cover {cfg.stats.num_layers} layers, model has {dims.layers}")
 
     _keep_temporaries_on_heap()
-    cls, patches, sizes = seq_in.cls, seq_in.patches, seq_in.sizes
+    cls, patches = seq_in.cls, seq_in.patches
+    sizes = np.ones(patches.shape[0], dtype=np.int64)
     trace = RunTrace(merging=cfg.schedule is not None)
 
     for l, block in enumerate(weights.blocks):
@@ -348,10 +349,8 @@ def save_weights(weights: ModelWeights, path: str) -> None:
             tensors[f"block{l:02d}.{name}"] = getattr(blk, name)
     for name, (fld, _) in HEAD_LAYOUT.items():
         tensors[name] = getattr(weights, fld)
-    dims = weights.dims
     meta = {"kind": "vit-weights", "model_id": weights.model_id,
-            "d": dims.d, "heads": dims.heads, "d_ff": dims.d_ff,
-            "layers": dims.layers, "n_classes": dims.n_classes}
+            **asdict(weights.dims)}
     archive.save_archive(path, tensors, meta)
 
 
@@ -359,8 +358,10 @@ def load_weights(path: str) -> ModelWeights:
     tensors, meta = archive.load_archive(path)
     if meta.get("kind") != "vit-weights":
         raise archive.ArchiveError(f"archive at {path} does not hold ViT weights")
-    dims = ModelDims(d=meta["d"], heads=meta["heads"], d_ff=meta["d_ff"],
-                     layers=meta["layers"], n_classes=meta["n_classes"])
+    try:
+        dims = ModelDims(**{f.name: meta[f.name] for f in fields(ModelDims)})
+    except (KeyError, ValueError) as e:
+        raise archive.ArchiveError(f"archive at {path}: bad model meta ({e})") from e
     for name, shape in _weight_shapes(dims).items():
         if name not in tensors:
             raise archive.ArchiveError(f"missing tensor {name}")

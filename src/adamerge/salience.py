@@ -15,9 +15,6 @@ class SalienceVector:
     raw: np.ndarray         # column sums; sums to N over the sequence
     normalized: np.ndarray  # min-max rescaled into [0, 1]
 
-    def __len__(self) -> int:
-        return len(self.raw)
-
 
 def compute_salience(x: np.ndarray) -> np.ndarray:
     """Raw salience of each token: column sum of softmax(x @ x.T).

@@ -105,10 +105,3 @@ def r_from_z(z: float, cfg: ScheduleConfig) -> int:
     """floor(r_max * sigmoid(alpha * z)), in [0, r_max]; the merge step
     clamps it to |A| (and flags the clamp) in select_merges."""
     return int(np.floor(cfg.r_max * logistic(cfg.alpha * z)))
-
-
-def decide_r(sbar: float, stats: LayerStats, layer: int,
-             cfg: ScheduleConfig, a_size: int) -> int:
-    """r = floor(r_max * sigmoid(alpha * z / T)), clamped to [0, |A|]."""
-    z = zscore(sbar, stats, layer, cfg.temperature)
-    return min(r_from_z(z, cfg), a_size)

@@ -15,7 +15,7 @@ from adamerge.flops import fixed_schedule_lengths, model_flops
 from adamerge.matcher import reconstruction_gap, select_merges
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
                               forward_model, synth_weights)
-from adamerge.schedule import LayerStats, ScheduleConfig, decide_r
+from adamerge.schedule import LayerStats, ScheduleConfig, r_from_z, zscore
 
 from test_matcher import brute_force_select
 
@@ -189,14 +189,17 @@ def test_criterion_6_schedule_arithmetic():
     stats = LayerStats(model_id="t", mu=np.array([0.5]), sigma=np.array([0.1]),
                        r_max=23, alpha=1.0, temperature=1.0, passes=2,
                        calibration_size=64)
+    # r as the merge step computes it; select_merges then clamps it to |A|
+    def schedule_r(sbar, cfg):
+        return r_from_z(zscore(sbar, stats, 0, cfg.temperature), cfg)
+
     for r_max in (9, 11, 14, 17, 20, 23):
-        cfg = ScheduleConfig(r_max=r_max)
-        assert decide_r(0.5, stats, 0, cfg, a_size=98) == r_max // 2
+        assert schedule_r(0.5, ScheduleConfig(r_max=r_max)) == r_max // 2
     cfg = ScheduleConfig(r_max=23)
-    rs = [decide_r(s, stats, 0, cfg, a_size=98)
-          for s in np.linspace(-1, 2, 100)]
+    rs = [schedule_r(s, cfg) for s in np.linspace(-1, 2, 100)]
     assert all(a <= b for a, b in zip(rs, rs[1:]))
-    assert decide_r(50.0, stats, 0, cfg, a_size=10) == 10
+    decision = select_merges(np.ones((10, 10), np.float32), schedule_r(50.0, cfg))
+    assert decision.r == 10 and decision.r_clamped
     ok(6, "z=0 midpoints, monotonicity and clamping hold")
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adamerge import calibration, data, flops
-from adamerge.cli import build_run_config, main, parse_config_spec
+from adamerge.cli import build_run_config, main, method_knobs, parse_config_spec
 from adamerge.runtime import load_weights, run_images
 
 
@@ -175,6 +175,15 @@ class TestCompare:
         assert main(["compare", "--weights", workspace["weights"],
                      "--dataset", workspace["dataset"],
                      "--config", "bogus:r=3"]) == 2
+
+    def test_unknown_method_has_the_alias_table_message(self, workspace,
+                                                        capsys):
+        with pytest.raises(ValueError) as alias_error:
+            method_knobs("bogus")
+        assert main(["compare", "--weights", workspace["weights"],
+                     "--dataset", workspace["dataset"],
+                     "--config", "bogus:r=3"]) == 2
+        assert capsys.readouterr().err == f"error: {alias_error.value}\n"
 
     def test_parse_config_spec(self):
         method, opts = parse_config_spec("adamerge:r_max=23,temperature=0.5")
@@ -382,6 +391,61 @@ class TestRejectedSchedules:
         assert trace.merging and trace.total_merges == 0
         assert all(rec.sbar != 0.0 and rec.cls_digest_post != ""
                    for rec in trace.layers)
+
+
+class TestRejectedLabels:
+    # the workspace has 8 images and 5 classes
+    @pytest.mark.parametrize("labels,message", [
+        ([None, 1] + [0] * 6, "label 0 is None;"),
+        ([0, 1.7] + [0] * 6, "label 1 is 1.7;"),
+        ([0, 0, True] + [0] * 5, "label 2 is True;"),
+        ([0] * 7 + [5], "label 7 is 5; each label must be an integer in [0, 5)"),
+        ([0, 0, 0, -1] + [0] * 4, "label 3 is -1;"),
+        ("a", "labels must be a list of 8 class indices"),
+        ([0, 1], "labels must be a list of 8 class indices")],
+        ids=["null", "float", "bool", "n_classes", "negative", "string",
+             "length"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_bad_labels_are_data_errors(self, workspace, tmp_path, capsys,
+                                        command, labels, message):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(labels))
+        argv = {"run": ["--method", "tome", "--r", "3"],
+                "compare": ["--config", "tome:r=3"]}[command]
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], *argv, "--labels", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {message}" in err, err
+
+
+class TestRejectedModelSizes:
+    @pytest.mark.parametrize("flag,field", [("--heads", "heads"),
+                                            ("--layers", "layers"),
+                                            ("--d-ff", "d_ff")])
+    def test_zero_size_is_data_error(self, tmp_path, capsys, flag, field):
+        sizes = {"--dim": "16", "--heads": "2", "--d-ff": "32", "--layers": "4"}
+        sizes[flag] = "0"
+        out = tmp_path / "weights"
+        assert main(["synth-weights", *(a for kv in sizes.items() for a in kv),
+                     "--out", str(out)]) == 2
+        assert f"{field} must be an integer >= 1, got {field}=0" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEmptyDataset:
+    @pytest.mark.parametrize("command", ["calibrate", "run", "compare", "viz"])
+    def test_empty_dataset_is_data_error(self, workspace, tmp_path, capsys,
+                                         command):
+        empty = str(tmp_path / "empty")
+        data.save_dataset(empty, np.zeros((0, 24, 16), np.float32))
+        argv = {"calibrate": ["--r-max", "6", "--out", str(tmp_path / "s.json")],
+                "run": ["--method", "tome", "--r", "3"],
+                "compare": ["--config", "tome:r=3"],
+                "viz": ["--method", "tome", "--r", "3"]}[command]
+        assert main([command, "--weights", workspace["weights"],
+                     "--dataset", empty, *argv]) == 2
+        assert f"error: {empty}: dataset is empty" in capsys.readouterr().err
 
 
 class TestScheduleMismatch:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -130,14 +131,14 @@ class TestForwardModel:
     def test_input_sequence_left_as_given(self, model, image, schedule):
         stats = flat_stats(model)
         seq = make_seq(image)
-        arrays = (seq.cls, seq.patches, seq.sizes)
+        arrays = (seq.cls, seq.patches)
         before = [a.tobytes() for a in arrays]
         _, trace = forward_model(seq, model, RunConfig(schedule=schedule,
                                                        stats=stats))
         if schedule is not None:
             assert trace.total_merges > 0
         assert all(got is want for got, want in
-                   zip((seq.cls, seq.patches, seq.sizes), arrays))
+                   zip((seq.cls, seq.patches), arrays))
         assert [a.tobytes() for a in arrays] == before
 
     def test_cls_untouched_by_merge(self, model, image):
@@ -313,3 +314,38 @@ class TestWeightsArchive:
         man.write_text(json.dumps(doc))
         with pytest.raises(ArchiveError, match="missing tensor"):
             load_weights(str(p))
+
+    @pytest.mark.parametrize("key,value,why", [
+        *((k, None, f"'{k}'") for k in ("d", "heads", "d_ff", "layers", "n_classes")),
+        ("d", "64", "d must be an integer >= 1, got d='64'")],
+        ids=["no-d", "no-heads", "no-d_ff", "no-layers", "no-n_classes", "d-str"])
+    def test_bad_model_meta_rejected(self, model, tmp_path, key, value, why):
+        import json
+        p = tmp_path / "weights"
+        save_weights(model, str(p))
+        man = p / "manifest.json"
+        doc = json.loads(man.read_text())
+        if value is None:
+            del doc["meta"][key]
+        else:
+            doc["meta"][key] = value
+        man.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveError, match=re.escape(
+                f"archive at {p}: bad model meta ({why})")):
+            load_weights(str(p))
+
+
+class TestModelDims:
+    @pytest.mark.parametrize("field,value", [
+        ("d", 0), ("heads", 0), ("d_ff", -1), ("layers", 0), ("n_classes", 0),
+        ("heads", True), ("layers", 2.0), ("d", "16"), ("d_ff", None)])
+    def test_non_positive_or_non_integer_size_rejected(self, field, value):
+        sizes = dict(d=16, heads=2, d_ff=32, layers=2, n_classes=4)
+        sizes[field] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be an integer >= 1, got {field}={value!r}")):
+            ModelDims(**sizes)
+
+    def test_numpy_integers_accepted(self):
+        dims = ModelDims(d=np.int64(16), heads=2, d_ff=32, layers=2)
+        assert dims.d == 16

@@ -58,6 +58,6 @@ class TestMinmaxNormalize:
 
 def test_salience_of_bundles_both():
     sal = salience_of(rnd((6, 4), 6))
-    assert len(sal) == 6
+    assert len(sal.raw) == 6
     assert np.all((sal.normalized >= 0) & (sal.normalized <= 1))
     assert sal.raw.sum() == pytest.approx(6.0, abs=1e-4)

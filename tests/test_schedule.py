@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from adamerge.schedule import (LayerStats, ScheduleConfig, decide_r, logistic,
-                               r_from_z, redundancy_proxy, zscore)
+from adamerge.matcher import select_merges
+from adamerge.schedule import (LayerStats, ScheduleConfig, logistic, r_from_z,
+                               redundancy_proxy, zscore)
 
 
 def make_stats(layers=4, mu=0.5, sigma=0.1):
@@ -34,39 +35,51 @@ class TestRedundancyProxy:
         assert redundancy_proxy(m) == pytest.approx(tot / 8, abs=1e-9)
 
 
+def schedule_r(sbar, stats, cfg):
+    """r as the merge step computes it at layer 0, before select_merges
+    clamps it to |A|."""
+    return r_from_z(zscore(sbar, stats, 0, cfg.temperature), cfg)
+
+
+def applied(r, a_size):
+    """(r, r_clamped) that select_merges applies on an |A|-row score matrix."""
+    decision = select_merges(np.ones((a_size, 4), np.float32), r)
+    return decision.r, decision.r_clamped
+
+
 class TestDecideR:
     def test_midpoint_at_mu(self):
         stats = make_stats()
         cfg = ScheduleConfig(r_max=9)
-        assert decide_r(0.5, stats, 0, cfg, a_size=100) == 4
+        assert schedule_r(0.5, stats, cfg) == 4
 
     @pytest.mark.parametrize("r_max", [9, 11, 14, 17, 20, 23])
     def test_z_zero_floor_half(self, r_max):
         stats = make_stats()
         cfg = ScheduleConfig(r_max=r_max)
-        assert decide_r(0.5, stats, 0, cfg, a_size=100) == r_max // 2
+        assert schedule_r(0.5, stats, cfg) == r_max // 2
 
     def test_saturates_high(self):
         stats = make_stats()
         cfg = ScheduleConfig(r_max=9)
-        assert decide_r(100.0, stats, 0, cfg, a_size=100) == 9
-        assert decide_r(100.0, stats, 0, cfg, a_size=5) == 5
+        r = schedule_r(100.0, stats, cfg)
+        assert applied(r, a_size=100) == (9, False)
+        assert applied(r, a_size=5) == (5, True)
 
     def test_saturates_low(self):
         stats = make_stats()
         cfg = ScheduleConfig(r_max=9)
-        assert decide_r(-100.0, stats, 0, cfg, a_size=100) == 0
+        assert applied(schedule_r(-100.0, stats, cfg), a_size=100) == (0, False)
 
     def test_r_from_z_leaves_the_a_clamp_to_the_merge_step(self):
-        # select_merges clamps to |A| and flags it; decide_r clamps itself
+        # select_merges clamps to |A| and flags it
         assert r_from_z(100.0, ScheduleConfig(r_max=9)) == 9
         assert r_from_z(-100.0, ScheduleConfig(r_max=9)) == 0
 
     def test_monotone_in_sbar(self):
         stats = make_stats()
         cfg = ScheduleConfig(r_max=23)
-        rs = [decide_r(s, stats, 0, cfg, a_size=98)
-              for s in np.linspace(0.0, 1.0, 50)]
+        rs = [schedule_r(s, stats, cfg) for s in np.linspace(0.0, 1.0, 50)]
         assert all(a <= b for a, b in zip(rs, rs[1:]))
 
     def test_layer_out_of_range(self):

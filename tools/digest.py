@@ -16,16 +16,27 @@ above |A|, and the two adaptive ones also against stats calibrated on
 the same images; each with track_maps off and on. `--skip FIELD` leaves
 a record field out of the trace digest, for a change meant to alter
 only that field.
+
+`--cli` prints instead one digest per output file of the `adamerge`
+commands on a d=16 workspace built in a temporary directory: the
+`calibrate` stats.json of each merging alias, the `run` CSVs and
+stdout, the `compare` CSV and SVG, and the `viz` SVG and CSV. Wall
+times are left out: the `run` stdout line and the `compare` CSV column.
 """
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import hashlib
+import io
+import os
+import tempfile
 
 import numpy as np
 
 from adamerge import calibration, data
-from adamerge.cli import METHOD_ALIASES, build_run_config
+from adamerge.cli import METHOD_ALIASES, build_run_config, main as cli_main
 from adamerge.runtime import ModelDims, run_images, synth_weights
 
 # name -> (dims, tokens per image, seed, non-zero biases and LN betas)
@@ -75,6 +86,74 @@ def trace_digest(trace, skip):
     return h.hexdigest()
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_digests():
+    """(label, digest) of every CLI output on a d=16 workspace."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name):
+            return os.path.join(tmp, name)
+
+        def cli(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(list(argv))
+            if code != 0:
+                raise SystemExit(f"adamerge {' '.join(argv)} exited {code}")
+            return out.getvalue()
+
+        def read(name):
+            with open(path(name), "rb") as f:
+                return f.read()
+
+        cli("synth-weights", "--dim", "16", "--heads", "2", "--d-ff", "32",
+            "--layers", "4", "--classes", "5", "--seed", "3",
+            "--out", path("weights"))
+        cli("synth", "--images", "8", "--tokens", "24", "--dim", "16",
+            "--redundancy", "0.5", "--seed", "4", "--out", path("data"))
+        with open(path("labels.json"), "w", encoding="utf-8") as f:
+            f.write(str([i % 5 for i in range(8)]))
+        inputs = ("--weights", path("weights"), "--dataset", path("data"))
+
+        for method, (_, kind) in METHOD_ALIASES.items():
+            if kind is not None:
+                cli("calibrate", *inputs, "--r-max", "6",
+                    "--method", method, "--out", path(f"{method}.json"))
+                yield f"calibrate:{method} stats.json", sha256(read(f"{method}.json"))
+        stats = ("--stats", path("adamerge.json"))
+
+        for label, argv in (("tome:r=3", ("--method", "tome", "--r", "3",
+                                          "--labels", path("labels.json"))),
+                            ("adamerge:r_max=6", ("--method", "adamerge",
+                                                  "--r-max", "6", *stats))):
+            out = cli("run", *inputs, *argv, "--out-csv", path("run.csv"))
+            kept = "".join(line for line in out.splitlines(keepends=True)
+                           if not line.startswith("wall time:"))
+            yield f"run:{label} csv", sha256(read("run.csv"))
+            yield f"run:{label} stdout", sha256(kept.encode())
+
+        configs = ("none", "tome:r=3", "sw-only:r=3", "adamerge:r_max=6",
+                   "adp-only:r_max=6", "adamerge:r_max=6,temperature=0.5")
+        cli("compare", *inputs, *stats, "--labels", path("labels.json"),
+            *(a for c in configs for a in ("--config", c)),
+            "--out-csv", path("compare.csv"), "--out-svg", path("compare.svg"))
+        with open(path("compare.csv"), newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        k = rows[0].index("wall_time_s")
+        yield "compare csv", sha256(repr([r[:k] + r[k + 1:] for r in rows]).encode())
+        yield "compare svg", sha256(read("compare.svg"))
+
+        for label, argv in (("tome:r=2", ("--method", "tome", "--r", "2")),
+                            ("adamerge:r_max=6", ("--method", "adamerge",
+                                                  "--r-max", "6", *stats))):
+            cli("viz", *inputs, *argv, "--image-index", "1",
+                "--out-svg", path("viz.svg"), "--out-csv", path("viz.csv"))
+            yield f"viz:{label} svg", sha256(read("viz.svg"))
+            yield f"viz:{label} csv", sha256(read("viz.csv"))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--models", nargs="+", choices=list(MODELS),
@@ -82,14 +161,20 @@ def main(argv=None):
     p.add_argument("--images", type=int, default=4)
     p.add_argument("--skip", action="append", default=[],
                    help="LayerRecord field to leave out of the trace digest")
+    p.add_argument("--cli", action="store_true",
+                   help="digest the CLI's output files instead of the runs")
     args = p.parse_args(argv)
+    if args.cli:
+        for label, digest in cli_digests():
+            print(f"cli {label} sha256={digest}")
+        return
     for name in args.models:
         weights, images = make_model(name, args.images)
         stats = calibration.refine(weights, images, r_max=R_MAX, passes=2)
         for label, cfg in configs(stats):
             for i, (logits, trace) in enumerate(run_images(weights, images, cfg)):
                 print(f"{name} {label} image={i} "
-                      f"logits={hashlib.sha256(logits.tobytes()).hexdigest()} "
+                      f"logits={sha256(logits.tobytes())} "
                       f"trace={trace_digest(trace, set(args.skip))}")
 
 
