@@ -6,7 +6,7 @@
 # Each tensor's bytes cross memory once: a save writes every tensor from
 # its own buffer, and a load validates the whole manifest against the
 # blob's size before it reads a tensor byte, then reads each tensor
-# straight into its destination array. Peak memory of a load is therefore
+# straight into its own array. Peak memory of a load is therefore
 # about one payload.
 
 import json
@@ -94,21 +94,11 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _fresh_arrays(meta: dict, shapes: dict) -> dict:
-    return {name: np.empty(shape, dtype="<f4") for name, shape in shapes.items()}
-
-
-def load_archive(path: str, into=None) -> tuple[dict, dict]:
-    """Read back (tensors, meta); validates magic, dtypes and extents.
+def load_archive(path: str) -> tuple[dict, dict]:
+    """Read back (tensors, meta); validates magic, meta, dtypes and extents.
 
     Every check runs before any tensor byte is read. The result maps each
     tensor name to an owned, writable, C-contiguous float32 array.
-
-    `into(meta, shapes)` may choose the destinations instead: it is called
-    once the manifest is validated, with the meta dict and {name: shape},
-    and returns {name: array} for the tensors to read. Each array must be
-    a writable C-contiguous float32 array of the manifest's shape; that
-    dict is what the load returns.
     """
     manifest_path = os.path.join(path, MANIFEST_NAME)
     blob_path = os.path.join(path, BLOB_NAME)
@@ -120,32 +110,26 @@ def load_archive(path: str, into=None) -> tuple[dict, dict]:
         fmt = manifest.get("format") if isinstance(manifest, dict) else None
         raise ArchiveError(f"unsupported archive format: {fmt!r}")
     meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ArchiveError(f"archive at {path}: meta must be a JSON object, "
+                           f"got {json.dumps(meta)[:40]}")
 
-    # unbuffered: readinto fills each destination without a staging copy
+    # unbuffered: readinto fills each array without a staging copy
     with open(blob_path, "rb", buffering=0) as f:
         payload_size = os.fstat(f.fileno()).st_size - len(MAGIC)
         if payload_size < 0 or f.read(len(MAGIC)) != MAGIC:
             raise ArchiveError(f"bad magic in {blob_path}")
         entries = _validated_entries(manifest, payload_size)
-        shapes = {name: shape for name, (shape, _, _) in entries.items()}
-        tensors = (into or _fresh_arrays)(meta, shapes)
-        for name, arr in tensors.items():
-            if name not in entries:
-                raise ArchiveError(f"missing tensor {name}")
-            if (arr.shape != shapes[name] or arr.dtype != np.dtype("<f4")
-                    or not arr.flags.c_contiguous or not arr.flags.writeable):
-                raise ArchiveError(
-                    f"tensor {name}: shape {shapes[name]} does not fit its "
-                    f"destination ({arr.dtype} {arr.shape})")
-        for name in sorted(tensors, key=lambda n: entries[n][1]):
-            _read_exact(f, entries[name], tensors[name], name)
+        tensors = {name: _read_exact(f, entries[name], name)
+                   for name in sorted(entries, key=lambda n: entries[n][1])}
     return tensors, meta
 
 
-def _read_exact(f, entry, arr: np.ndarray, name: str) -> None:
-    _, off, length = entry
+def _read_exact(f, entry, name: str) -> np.ndarray:
+    shape, off, length = entry
+    arr = np.empty(shape, dtype="<f4")
     if length == 0:
-        return
+        return arr
     f.seek(len(MAGIC) + off)
     view = memoryview(arr.reshape(-1).view(np.uint8))
     got = 0
@@ -156,3 +140,4 @@ def _read_exact(f, entry, arr: np.ndarray, name: str) -> None:
                 f"tensor {name}: short read, {got} of {length} bytes "
                 "(blob truncated?)")
         got += n
+    return arr

@@ -230,7 +230,13 @@ def parse_config_spec(spec: str):
             key, _, val = kv.partition("=")
             if key not in ("r", "r_max", "alpha", "temperature"):
                 raise ValueError(f"unknown option {key!r} in config {spec!r}")
-            opts[key] = float(val) if key in ("alpha", "temperature") else int(val)
+            cast, kind = ((float, "a number") if key in ("alpha", "temperature")
+                          else (int, "an integer"))
+            try:
+                opts[key] = cast(val)
+            except ValueError:
+                raise ValueError(f"config {spec!r}: {key} must be {kind}, "
+                                 f"got {val!r}") from None
     return method, opts
 
 

@@ -1,7 +1,8 @@
 # Synthetic token datasets with a controllable redundancy level, stored
-# in the tensor-archive format. Each image is a post-embedding token
-# matrix: ceil(rho * N) tokens are noisy copies of up to K prototypes,
-# the rest are i.i.d. gaussian.
+# in the tensor-archive format as one [n_images, n_tokens, dim] tensor
+# `images`. Each image is a post-embedding token matrix: ceil(rho * N)
+# tokens are noisy copies of up to K prototypes, the rest are i.i.d.
+# gaussian.
 
 import math
 
@@ -35,34 +36,25 @@ def synth_images(n_images: int, n_tokens: int, dim: int, redundancy: float,
 
 
 def save_dataset(path: str, images: np.ndarray, meta: dict | None = None) -> None:
-    tensors = {f"image_{i:05d}": images[i] for i in range(images.shape[0])}
-    full_meta = {"kind": "token-dataset",
-                 "n_images": int(images.shape[0]),
-                 "n_tokens": int(images.shape[1]),
-                 "dim": int(images.shape[2])}
-    full_meta.update(meta or {})
-    save_archive(path, tensors, full_meta)
+    """Write [n_images, n_tokens, dim] images as the one tensor `images`."""
+    save_archive(path, {"images": images}, {"kind": "token-dataset", **(meta or {})})
 
 
 def load_dataset(path: str) -> tuple[np.ndarray, dict]:
-    """Read a token dataset straight into one [n_images, n_tokens, dim] array."""
-    images = None
-
-    def image_rows(meta, shapes):
-        nonlocal images
-        if meta.get("kind") != "token-dataset":
-            raise ArchiveError(f"archive at {path} does not hold a token dataset")
-        try:
-            images = np.empty((meta["n_images"], meta["n_tokens"], meta["dim"]),
-                              dtype="<f4")
-        except (KeyError, TypeError, ValueError) as e:
-            raise ArchiveError(f"archive at {path}: bad dataset meta ({e})") from e
-        return {f"image_{i:05d}": images[i] for i in range(len(images))}
-
-    _, meta = load_archive(path, into=image_rows)
+    """Read a token dataset as one [n_images, n_tokens, dim] array."""
+    tensors, meta = load_archive(path)
+    if meta.get("kind") != "token-dataset":
+        raise ArchiveError(f"archive at {path} does not hold a token dataset")
+    images = tensors.get("images")
+    if len(tensors) != 1 or images is None or images.ndim != 3:
+        first = {n: list(t.shape) for n, t in list(tensors.items())[:3]}
+        raise ArchiveError(
+            f"archive at {path}: a token dataset holds one 3-D tensor 'images', "
+            f"found {len(tensors)} tensors {first}; re-run `adamerge synth` to "
+            "rewrite it")
     for i, img in enumerate(images):  # one image at a time keeps the peak
         finite = np.isfinite(img).all(axis=1)
         if not finite.all():
-            raise ArchiveError(f"archive at {path}: image_{i:05d} has a "
+            raise ArchiveError(f"archive at {path}: image {i} has a "
                                f"non-finite value in token row {finite.argmin()}")
     return images, meta

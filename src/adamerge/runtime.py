@@ -364,8 +364,8 @@ def load_weights(path: str) -> ModelWeights:
         raise archive.ArchiveError(f"archive at {path}: bad model meta ({e})") from e
     for name, shape in _weight_shapes(dims).items():
         if name not in tensors:
-            raise archive.ArchiveError(f"missing tensor {name}")
+            raise archive.ArchiveError(f"archive at {path}: missing tensor {name}")
         if tensors[name].shape != shape:
-            raise archive.ArchiveError(
-                f"tensor {name}: shape {tensors[name].shape}, expected {shape}")
+            raise archive.ArchiveError(f"archive at {path}: tensor {name}: shape "
+                                       f"{tensors[name].shape}, expected {shape}")
     return _assemble(dims, tensors, meta.get("model_id", "unknown"))

@@ -1,10 +1,11 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from adamerge import data
+from adamerge import archive, data
 from adamerge.archive import MAGIC, ArchiveError, load_archive, save_archive
 
 PAYLOAD = 4 << 20          # bytes of float32 data in the memory-bound tests
@@ -115,19 +116,21 @@ def test_truncated_blob_rejected(tmp_path, cut):
         load_archive(str(p))
 
 
-def test_blob_shrinking_during_load_is_a_short_read(tmp_path):
+def test_blob_shrinking_during_load_is_a_short_read(tmp_path, monkeypatch):
     p = tmp_path / "arc"
     save_archive(str(p), {"a": np.ones((3, 4), np.float32),
                           "b": np.ones(7, np.float32)})
+    read_exact = archive._read_exact
 
-    def truncate_then_allocate(meta, shapes):
-        with open(p / "tensors.bin", "r+b") as f:
-            f.truncate(8 + 4 * 12 + 5)
-        return {name: np.empty(shape, np.float32)
-                for name, shape in shapes.items()}
+    def truncate_then_read(f, entry, name):
+        if name == "a":  # validated, nothing read yet: cut into b
+            with open(p / "tensors.bin", "r+b") as g:
+                g.truncate(8 + 4 * 12 + 5)
+        return read_exact(f, entry, name)
 
+    monkeypatch.setattr(archive, "_read_exact", truncate_then_read)
     with pytest.raises(ArchiveError, match="tensor b: short read"):
-        load_archive(str(p), into=truncate_then_allocate)
+        load_archive(str(p))
 
 
 @pytest.mark.parametrize("edit, match", [
@@ -140,17 +143,34 @@ def test_blob_shrinking_during_load_is_a_short_read(tmp_path):
     (lambda t: t["b"].update(length=-28), "tensor b: offset"),
 ], ids=["overlap", "overlap-out-of-order", "same-start", "negative-offset",
         "negative-length"])
-def test_bad_extents_rejected_before_any_read(tmp_path, edit, match):
+def test_bad_extents_rejected_before_any_read(tmp_path, monkeypatch, edit,
+                                             match):
     p = tmp_path / "arc"
     save_archive(str(p), {"a": np.ones((3, 4), np.float32),
                           "b": np.ones(7, np.float32)})
     _edit_manifest(p, lambda doc: edit(doc["tensors"]))
 
-    def never(meta, shapes):
-        raise AssertionError("destinations requested before validation")
+    def never(*args):
+        raise AssertionError("tensor bytes read before validation")
 
+    monkeypatch.setattr(archive, "_read_exact", never)
     with pytest.raises(ArchiveError, match=match):
-        load_archive(str(p), into=never)
+        load_archive(str(p))
+
+
+@pytest.mark.parametrize("meta", [[1], "x", None])
+def test_meta_must_be_an_object(tmp_path, monkeypatch, meta):
+    p = tmp_path / "arc"
+    save_archive(str(p), {"a": np.ones(3, np.float32)})
+    _edit_manifest(p, lambda doc: doc.update(meta=meta))
+
+    def never(*args):
+        raise AssertionError("tensor bytes read before validation")
+
+    monkeypatch.setattr(archive, "_read_exact", never)
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"archive at {p}: meta must be a JSON object, got ")):
+        load_archive(str(p))
 
 
 def test_empty_extent_overlaps_nothing(tmp_path):
@@ -234,11 +254,10 @@ class TestSynthData:
         assert back.dtype == np.float32 and back.shape == (3, 8, 4)
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda doc: doc["tensors"].pop("image_00001"), "missing tensor image_00001"),
-        (lambda doc: doc["meta"].update(n_tokens=9), "image_00000: shape"),
-        (lambda doc: doc["meta"].pop("dim"), "bad dataset meta"),
+        (lambda doc: doc["tensors"].pop("images"),
+         "holds one 3-D tensor 'images', found 0 tensors"),
         (lambda doc: doc["meta"].update(kind="vit-weights"), "token dataset"),
-    ], ids=["missing-image", "shape-mismatch", "no-dim", "wrong-kind"])
+    ], ids=["missing-image", "wrong-kind"])
     def test_inconsistent_dataset_rejected(self, tmp_path, edit, match):
         p = tmp_path / "ds"
         data.save_dataset(str(p), data.synth_images(3, 8, 4, 0.5, seed=4))

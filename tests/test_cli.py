@@ -3,11 +3,13 @@ import hashlib
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from adamerge import calibration, data, flops
+from adamerge.archive import save_archive
 from adamerge.cli import build_run_config, main, method_knobs, parse_config_spec
 from adamerge.runtime import load_weights, run_images
 
@@ -40,6 +42,15 @@ class TestSynth:
                          "--out", str(out)]) == 0
             outs.append((out / "tensors.bin").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_blob_bytes_are_pinned(self, tmp_path):
+        # the blob is the images' float32 bytes in order; a change of the
+        # manifest layout alone keeps this digest
+        assert main(["synth", "--images", "3", "--tokens", "8", "--dim", "4",
+                     "--redundancy", "0.7", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "tensors.bin").read_bytes()).hexdigest() \
+            == "71054293a7977d70faf4ac0eb96716dd17360ada923d138448b204660da2f8ab"
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -185,6 +196,17 @@ class TestCompare:
                      "--config", "bogus:r=3"]) == 2
         assert capsys.readouterr().err == f"error: {alias_error.value}\n"
 
+    @pytest.mark.parametrize("spec, message", [
+        ("tome:r=x", "r must be an integer, got 'x'"),
+        ("tome:r", "r must be an integer, got ''"),
+        ("adamerge:r_max=16,alpha=", "alpha must be a number, got ''"),
+    ])
+    def test_bad_option_value_names_the_spec_and_key(self, workspace, capsys,
+                                                     spec, message):
+        assert main(["compare", "--weights", workspace["weights"],
+                     "--dataset", workspace["dataset"], "--config", spec]) == 2
+        assert capsys.readouterr().err == f"error: config {spec!r}: {message}\n"
+
     def test_parse_config_spec(self):
         method, opts = parse_config_spec("adamerge:r_max=23,temperature=0.5")
         assert method == "adamerge"
@@ -282,7 +304,7 @@ class TestExitCodes:
         assert main(["run", "--weights", workspace["weights"], "--dataset",
                      bad, "--method", "tome", "--r", "3"]) == 2
         err = capsys.readouterr().err
-        assert "image_00002" in err and "token row 5" in err, err
+        assert "image 2 " in err and "token row 5" in err, err
 
 
 class TestRejectedSchedules:
@@ -482,3 +504,35 @@ class TestAliases:
             assert la.tobytes() == lb.tobytes()
             assert [(rec.r, rec.edges, rec.sbar) for rec in ta.layers] == \
                 [(rec.r, rec.edges, rec.sbar) for rec in tb.layers]
+
+
+class TestRejectedArchives:
+    @pytest.mark.parametrize("which", ["weights", "dataset"])
+    def test_meta_not_an_object_is_data_error(self, workspace, tmp_path, capsys,
+                                              which):
+        paths = {k: workspace[k] for k in ("weights", "dataset")}
+        paths[which] = str(shutil.copytree(workspace[which], tmp_path / which))
+        man = tmp_path / which / "manifest.json"
+        man.write_text(json.dumps({**json.loads(man.read_text()), "meta": [1]}))
+        assert main(["run", "--weights", paths["weights"], "--dataset",
+                     paths["dataset"], "--method", "none"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: archive at {paths[which]}: meta must be a JSON object, "
+            "got [1]\n")
+
+    @pytest.mark.parametrize("tensors", [
+        lambda imgs: {f"image_{i:05d}": img for i, img in enumerate(imgs)},
+        lambda imgs: {"images": imgs, "labels": np.zeros(len(imgs), np.float32)},
+        lambda imgs: {"images": imgs[0]},
+    ], ids=["per-image-layout", "extra-tensor", "2d-images"])
+    def test_dataset_layout_is_data_error(self, workspace, tmp_path, capsys,
+                                          tensors):
+        images, meta = data.load_dataset(workspace["dataset"])
+        bad = str(tmp_path / "bad")
+        save_archive(bad, tensors(images), meta)
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     bad, "--method", "none"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: archive at {bad}: a token dataset holds "
+                              "one 3-D tensor 'images', found "), err
+        assert err.endswith("re-run `adamerge synth` to rewrite it\n"), err

@@ -312,7 +312,23 @@ class TestWeightsArchive:
         doc = json.loads(man.read_text())
         del doc["tensors"]["head.weight"]
         man.write_text(json.dumps(doc))
-        with pytest.raises(ArchiveError, match="missing tensor"):
+        with pytest.raises(ArchiveError, match=re.escape(
+                f"archive at {p}: missing tensor head.weight")):
+            load_weights(str(p))
+
+    def test_tensor_shape_mismatch_rejected(self, model, tmp_path):
+        import json
+        p = tmp_path / "weights"
+        save_weights(model, str(p))
+        man = p / "manifest.json"
+        doc = json.loads(man.read_text())
+        entry = doc["tensors"]["head.weight"]
+        entry["shape"] = entry["shape"][::-1]
+        man.write_text(json.dumps(doc))
+        shape = tuple(entry["shape"])
+        with pytest.raises(ArchiveError, match=re.escape(
+                f"archive at {p}: tensor head.weight: shape {shape}, expected "
+                f"{shape[::-1]}")):
             load_weights(str(p))
 
     @pytest.mark.parametrize("key,value,why", [

@@ -19,6 +19,7 @@ only that field.
 
 `--cli` prints instead one digest per output file of the `adamerge`
 commands on a d=16 workspace built in a temporary directory: the
+manifest.json and tensors.bin of `synth-weights` and `synth`, the
 `calibrate` stats.json of each merging alias, the `run` CSVs and
 stdout, the `compare` CSV and SVG, and the `viz` SVG and CSV. Wall
 times are left out: the `run` stdout line and the `compare` CSV column.
@@ -115,6 +116,9 @@ def cli_digests():
             "--redundancy", "0.5", "--seed", "4", "--out", path("data"))
         with open(path("labels.json"), "w", encoding="utf-8") as f:
             f.write(str([i % 5 for i in range(8)]))
+        for label, name in (("synth-weights", "weights"), ("synth", "data")):
+            for fname in ("manifest.json", "tensors.bin"):
+                yield f"{label} {fname}", sha256(read(os.path.join(name, fname)))
         inputs = ("--weights", path("weights"), "--dataset", path("data"))
 
         for method, (_, kind) in METHOD_ALIASES.items():
