@@ -8,7 +8,7 @@ from .runtime import (VIT_B16, ModelDims, ModelWeights, RunConfig, RunTrace,
                       TokenSequence, forward_block, forward_model,
                       load_weights, run_images, save_weights, synth_weights)
 from .salience import SalienceVector, compute_salience, minmax_normalize, salience_of
-from .schedule import LayerStats, ScheduleConfig, redundancy_proxy
+from .schedule import LayerStats, redundancy_proxy
 
 __all__ = [
     "MergeDecision", "Partition", "execute_merge", "partition",
@@ -17,5 +17,5 @@ __all__ = [
     "TokenSequence", "forward_block", "forward_model",
     "load_weights", "run_images", "save_weights", "synth_weights",
     "SalienceVector", "compute_salience", "minmax_normalize", "salience_of",
-    "LayerStats", "ScheduleConfig", "redundancy_proxy",
+    "LayerStats", "redundancy_proxy",
 ]

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .runtime import ModelWeights, RunConfig, run_images
-from .schedule import SIGMA_FLOOR, LayerStats, ScheduleConfig
+from .schedule import SIGMA_FLOOR, LayerStats, check_schedule
 
 STATS_VERSION = 1
 # stats.json holds every LayerStats field plus these two file-level ones
@@ -56,16 +56,15 @@ def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
     statistics. Two passes is the recommended protocol."""
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
-    # built before the bootstrap pass so that a bad value fails before
-    # any forward pass
-    sched = ScheduleConfig(r_max=r_max, alpha=alpha, temperature=temperature)
+    # a bad value fails before any forward pass
+    check_schedule(r_max, alpha, temperature)
     images = list(images)
     cfg = RunConfig(salience=salience, schedule=r_max // 2)
     for p in range(passes):
         stats = fit_stats(collect_pass(weights, images, cfg, threads),
                           model_id=weights.model_id, r_max=r_max, alpha=alpha,
                           temperature=temperature, passes=p + 1)
-        cfg = RunConfig(salience=salience, schedule=sched, stats=stats)
+        cfg = RunConfig(salience=salience, schedule=stats)
     return stats
 
 

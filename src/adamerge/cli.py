@@ -4,6 +4,7 @@
 # Exit codes: 0 ok, 1 usage error, 2 data/runtime error.
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ from . import calibration, data, flops, report
 from .archive import ArchiveError
 from .runtime import (ModelDims, RunConfig, load_weights, run_images,
                       save_weights, synth_weights)
-from .schedule import ScheduleConfig, _is_int
+from .schedule import _is_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,14 +56,16 @@ def method_knobs(method: str) -> tuple:
 
 
 def build_run_config(method: str, *, r: int | None = None,
-                     r_max: int | None = None, alpha: float = 1.0,
-                     temperature: float = 1.0, stats=None,
+                     r_max: int | None = None, alpha: float | None = None,
+                     temperature: float | None = None, stats=None,
                      track_maps: bool = False) -> RunConfig:
     """Resolve a method alias and CLI-style options into a RunConfig.
 
     tome and sw-only run fixed schedules (want --r); adamerge and
-    adp-only run adaptively (want --r-max and stats) unless --r forces a
-    fixed schedule, so `adamerge --r k` is `sw-only --r k`.
+    adp-only run the calibrated stats as their schedule unless --r forces
+    a fixed one, so `adamerge --r k` is `sw-only --r k`. An r_max, alpha
+    or temperature left at None is the stats' own; a given one overrides
+    it, with a warning when they differ.
     """
     salience, kind = method_knobs(method)
     if kind is None:
@@ -75,19 +78,19 @@ def build_run_config(method: str, *, r: int | None = None,
         return RunConfig(salience=salience, schedule=r, track_maps=track_maps)
     if kind == "fixed":
         raise ValueError(f"method {method} needs --r (fixed merge count)")
-    if r_max is None:
-        raise ValueError(f"method {method} needs --r-max in adaptive mode")
-    sched = ScheduleConfig(r_max=r_max, alpha=alpha, temperature=temperature)
     if stats is None:
         raise ValueError(
             f"method {method} needs calibrated stats; run `adamerge "
             "calibrate` first or pass --r for a fixed schedule")
-    for name in ("r_max", "alpha", "temperature"):
-        if getattr(sched, name) != getattr(stats, name):
-            print(f"warning: {name}={getattr(sched, name)} differs from the "
+    given = {name: v for name, v in (("r_max", r_max), ("alpha", alpha),
+                                     ("temperature", temperature))
+             if v is not None}
+    sched = dataclasses.replace(stats, **given)
+    for name, v in given.items():
+        if v != getattr(stats, name):
+            print(f"warning: {name}={v} differs from the "
                   f"stats' {name}={getattr(stats, name)}", file=sys.stderr)
-    return RunConfig(salience=salience, schedule=sched, stats=stats,
-                     track_maps=track_maps)
+    return RunConfig(salience=salience, schedule=sched, track_maps=track_maps)
 
 
 def _load_inputs(args):
@@ -96,6 +99,12 @@ def _load_inputs(args):
     images, _ = data.load_dataset(args.dataset)
     if len(images) == 0:
         raise ValueError(f"{args.dataset}: dataset is empty")
+    if images.shape[1] == 0:
+        raise ValueError(f"{args.dataset}: images have no patch tokens")
+    if images.shape[2] != weights.dims.d:
+        raise ValueError(
+            f"{args.dataset}: tokens have dim {images.shape[2]}, but the "
+            f"weights at {args.weights} have d={weights.dims.d}")
     path, labels = getattr(args, "labels", None), None
     if path:
         with open(path, "r", encoding="utf-8") as f:
@@ -230,6 +239,8 @@ def parse_config_spec(spec: str):
             key, _, val = kv.partition("=")
             if key not in ("r", "r_max", "alpha", "temperature"):
                 raise ValueError(f"unknown option {key!r} in config {spec!r}")
+            if key in opts:
+                raise ValueError(f"config {spec!r}: {key} given twice")
             cast, kind = ((float, "a number") if key in ("alpha", "temperature")
                           else (int, "an integer"))
             try:
@@ -301,9 +312,9 @@ def _add_schedule_flags(p):
     p.add_argument("--r", type=int, default=None,
                    help="fixed per-layer merge count")
     p.add_argument("--r-max", type=int, default=None,
-                   help="adaptive-schedule budget")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=1.0)
+                   help="adaptive-schedule budget (default: the stats' r_max)")
+    p.add_argument("--alpha", type=float, help="default: the stats' alpha")
+    p.add_argument("--temperature", type=float, help="default: the stats' temperature")
     p.add_argument("--stats", default=None, help="stats.json path")
 
 
@@ -360,8 +371,8 @@ def make_parser() -> _Parser:
     p.add_argument("--config", action="append", required=True,
                    help="e.g. tome:r=8 or adamerge:r_max=23")
     p.add_argument("--stats", default=None)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, help="default: the stats' alpha")
+    p.add_argument("--temperature", type=float, help="default: the stats' temperature")
     p.add_argument("--labels", default=None)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--include-overhead", action="store_true")

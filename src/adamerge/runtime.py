@@ -15,8 +15,7 @@ from . import archive
 from .matcher import execute_merge, partition, select_merges, weighted_scores
 from .numeric import DTYPE, gelu, layer_norm, matmul, row_softmax
 from .salience import salience_of
-from .schedule import (LayerStats, ScheduleConfig, _is_int, r_from_z,
-                       redundancy_proxy, zscore)
+from .schedule import LayerStats, _is_int, r_from_z, redundancy_proxy, zscore
 
 
 @dataclass
@@ -143,10 +142,9 @@ class RunConfig:
     """salience: weight the matching scores and aggregate merges by
     salience (else plain cosine scores and size-weighted means).
     schedule: None runs no merge step; an int merges that many tokens per
-    layer; a ScheduleConfig picks r per layer and input from `stats`."""
+    layer; calibrated LayerStats pick r per layer and input."""
     salience: bool = True
-    schedule: int | ScheduleConfig | None = 0
-    stats: LayerStats | None = None
+    schedule: int | LayerStats | None = 0
     track_maps: bool = False
 
     def __post_init__(self):
@@ -228,8 +226,8 @@ def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
     rec.sbar = redundancy_proxy(scores)
 
     sched = cfg.schedule
-    if isinstance(sched, ScheduleConfig):
-        rec.z = zscore(rec.sbar, cfg.stats, layer, sched.temperature)
+    if isinstance(sched, LayerStats):
+        rec.z = zscore(rec.sbar, sched, layer)
         r = r_from_z(rec.z, sched)
     else:
         r = sched
@@ -255,14 +253,10 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
     schedule=None skips merging entirely and is the vanilla ViT forward.
     """
     dims = weights.dims
-    if isinstance(cfg.schedule, ScheduleConfig):
-        if cfg.stats is None:
-            raise ValueError(
-                "adaptive schedule requires calibrated stats; "
-                "run calibration first (stats.json)")
-        if cfg.stats.num_layers != dims.layers:
-            raise ValueError(
-                f"stats cover {cfg.stats.num_layers} layers, model has {dims.layers}")
+    stats = cfg.schedule
+    if isinstance(stats, LayerStats) and stats.num_layers != dims.layers:
+        raise ValueError(
+            f"stats cover {stats.num_layers} layers, model has {dims.layers}")
 
     _keep_temporaries_on_heap()
     cls, patches = seq_in.cls, seq_in.patches

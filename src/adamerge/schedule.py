@@ -18,42 +18,35 @@ def _is_real(v) -> bool:
         and not isinstance(v, bool)
 
 
-@dataclass
-class ScheduleConfig:
-    """The adaptive schedule: r = floor(r_max * sigmoid(alpha * z / T))."""
-    r_max: int
-    alpha: float = 1.0        # gain on the z-score inside the sigmoid
-    temperature: float = 1.0  # z <- z / T; smaller T sharpens the decision
-
-    def __post_init__(self):
-        if not _is_int(self.r_max) or self.r_max < 0:
-            raise ValueError(f"r_max must be an integer >= 0, got r_max={self.r_max!r}")
-        for name in ("alpha", "temperature"):
-            v = getattr(self, name)
-            if not _is_real(v):
-                raise ValueError(f"{name} must be a real number, got {name}={v!r}")
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {name}={v}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+def check_schedule(r_max, alpha, temperature) -> None:
+    """Raise ValueError, naming the field, unless the adaptive schedule
+    r = floor(r_max * sigmoid(alpha * z / T)) is well defined."""
+    if not _is_int(r_max) or r_max < 0:
+        raise ValueError(f"r_max must be an integer >= 0, got r_max={r_max!r}")
+    for name, v in (("alpha", alpha), ("temperature", temperature)):
+        if not _is_real(v):
+            raise ValueError(f"{name} must be a real number, got {name}={v!r}")
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {name}={v}")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
 
 
 @dataclass
 class LayerStats:
-    """Calibrated per-layer (mu, sigma) of the redundancy proxy."""
+    """Calibrated per-layer (mu, sigma) of the redundancy proxy, and the
+    adaptive schedule that reads them."""
     model_id: str
     mu: np.ndarray
     sigma: np.ndarray
     r_max: int
-    alpha: float
-    temperature: float
+    alpha: float        # gain on the z-score inside the sigmoid
+    temperature: float  # z <- z / T; smaller T sharpens the decision
     passes: int
     calibration_size: int
 
     def __post_init__(self):
-        # the schedule fields obey ScheduleConfig's own rules
-        ScheduleConfig(r_max=self.r_max, alpha=self.alpha,
-                       temperature=self.temperature)
+        check_schedule(self.r_max, self.alpha, self.temperature)
         for name in ("passes", "calibration_size"):
             v = getattr(self, name)
             if not _is_int(v) or v < 1:
@@ -92,16 +85,15 @@ def redundancy_proxy(scores: np.ndarray) -> float:
     return float(scores.astype(np.float64).max(axis=1).mean())
 
 
-def zscore(sbar: float, stats: LayerStats, layer: int,
-           temperature: float) -> float:
+def zscore(sbar: float, stats: LayerStats, layer: int) -> float:
     if layer >= stats.num_layers:
         raise ValueError(
             f"layer {layer} out of range for {stats.num_layers}-layer stats")
     z = (sbar - stats.mu[layer]) / stats.sigma[layer]
-    return float(z / temperature)
+    return float(z / stats.temperature)
 
 
-def r_from_z(z: float, cfg: ScheduleConfig) -> int:
+def r_from_z(z: float, stats: LayerStats) -> int:
     """floor(r_max * sigmoid(alpha * z)), in [0, r_max]; the merge step
     clamps it to |A| (and flags the clamp) in select_merges."""
-    return int(np.floor(cfg.r_max * logistic(cfg.alpha * z)))
+    return int(np.floor(stats.r_max * logistic(stats.alpha * z)))

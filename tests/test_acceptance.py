@@ -2,6 +2,7 @@
 # single PASS line on success (run with -s to see them inline).
 
 import csv
+import dataclasses
 import json
 import time
 
@@ -15,7 +16,7 @@ from adamerge.flops import fixed_schedule_lengths, model_flops
 from adamerge.matcher import reconstruction_gap, select_merges
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
                               forward_model, synth_weights)
-from adamerge.schedule import LayerStats, ScheduleConfig, r_from_z, zscore
+from adamerge.schedule import LayerStats, r_from_z, zscore
 
 from test_matcher import brute_force_select
 
@@ -138,10 +139,8 @@ def test_criterion_4_conservation_ledger():
     stats = calibration.refine(w, images, r_max=6, passes=2)
     configs = [fixed_cfg("none", 0), fixed_cfg("tome", 3),
                fixed_cfg("adamerge", 3), fixed_cfg("sw-only", 2),
-               RunConfig(salience=True, schedule=ScheduleConfig(r_max=6),
-                         stats=stats),
-               RunConfig(salience=False, schedule=ScheduleConfig(r_max=6),
-                         stats=stats),
+               RunConfig(salience=True, schedule=stats),
+               RunConfig(salience=False, schedule=stats),
                # salience off, computed for the map only
                RunConfig(salience=False, schedule=3, track_maps=True)]
     runs = 0
@@ -164,8 +163,7 @@ def test_criterion_5_adaptive_behavior():
         data.synth_images(1, 64, 32, float(rng.uniform()), seed=5000 + i)
         for i in range(32)])
     stats = calibration.refine(w, cal, r_max=8, passes=2)
-    cfg = RunConfig(salience=True, schedule=ScheduleConfig(r_max=8),
-                    stats=stats)
+    cfg = RunConfig(salience=True, schedule=stats)
 
     def mean_merges(rho, seed):
         images = data.synth_images(64, 64, 32, rho, seed=seed)
@@ -190,15 +188,14 @@ def test_criterion_6_schedule_arithmetic():
                        r_max=23, alpha=1.0, temperature=1.0, passes=2,
                        calibration_size=64)
     # r as the merge step computes it; select_merges then clamps it to |A|
-    def schedule_r(sbar, cfg):
-        return r_from_z(zscore(sbar, stats, 0, cfg.temperature), cfg)
+    def schedule_r(sbar, stats):
+        return r_from_z(zscore(sbar, stats, 0), stats)
 
     for r_max in (9, 11, 14, 17, 20, 23):
-        assert schedule_r(0.5, ScheduleConfig(r_max=r_max)) == r_max // 2
-    cfg = ScheduleConfig(r_max=23)
-    rs = [schedule_r(s, cfg) for s in np.linspace(-1, 2, 100)]
+        assert schedule_r(0.5, dataclasses.replace(stats, r_max=r_max)) == r_max // 2
+    rs = [schedule_r(s, stats) for s in np.linspace(-1, 2, 100)]
     assert all(a <= b for a, b in zip(rs, rs[1:]))
-    decision = select_merges(np.ones((10, 10), np.float32), schedule_r(50.0, cfg))
+    decision = select_merges(np.ones((10, 10), np.float32), schedule_r(50.0, stats))
     assert decision.r == 10 and decision.r_clamped
     ok(6, "z=0 midpoints, monotonicity and clamping hold")
 

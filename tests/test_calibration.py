@@ -6,7 +6,7 @@ import pytest
 
 from adamerge import calibration, data
 from adamerge.runtime import ModelDims, RunConfig, run_images, synth_weights
-from adamerge.schedule import SIGMA_FLOOR, LayerStats, ScheduleConfig
+from adamerge.schedule import SIGMA_FLOOR, LayerStats
 
 # the bootstrap pass of refine(r_max=6): fixed r = 6 // 2, salience on
 BOOTSTRAP = RunConfig(salience=True, schedule=3)
@@ -230,8 +230,7 @@ class TestOnePath:
         stats = calibration.refine(small_model, cal_images, r_max=6, passes=1,
                                    salience=salience)
         for cfg in (RunConfig(salience=salience, schedule=3),
-                    RunConfig(salience=salience, stats=stats,
-                              schedule=ScheduleConfig(r_max=6))):
+                    RunConfig(salience=salience, schedule=stats)):
             samples = calibration.collect_pass(small_model, cal_images, cfg)
             want = [[rec.sbar for rec in tr.layers]
                     for _, tr in run_images(small_model, cal_images, cfg)]

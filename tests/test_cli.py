@@ -52,6 +52,19 @@ class TestSynth:
         assert hashlib.sha256((tmp_path / "tensors.bin").read_bytes()).hexdigest() \
             == "71054293a7977d70faf4ac0eb96716dd17360ada923d138448b204660da2f8ab"
 
+    @pytest.mark.parametrize("flag,field", [("--tokens", "n_tokens"),
+                                            ("--dim", "dim")])
+    def test_empty_token_shape_is_data_error(self, tmp_path, capsys, flag,
+                                             field):
+        sizes = {"--images": "2", "--tokens": "8", "--dim": "4"}
+        sizes[flag] = "0"
+        out = tmp_path / "data"
+        assert main(["synth", *(a for kv in sizes.items() for a in kv),
+                     "--out", str(out)]) == 2
+        assert f"error: {field} must be >= 1, got {field}=0" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("ADAMERGE_SEED", "77")
@@ -200,6 +213,7 @@ class TestCompare:
         ("tome:r=x", "r must be an integer, got 'x'"),
         ("tome:r", "r must be an integer, got ''"),
         ("adamerge:r_max=16,alpha=", "alpha must be a number, got ''"),
+        ("tome:r=3,r=4", "r given twice"),
     ])
     def test_bad_option_value_names_the_spec_and_key(self, workspace, capsys,
                                                      spec, message):
@@ -470,6 +484,26 @@ class TestEmptyDataset:
         assert f"error: {empty}: dataset is empty" in capsys.readouterr().err
 
 
+class TestUnusableDataset:
+    @pytest.mark.parametrize("shape,message", [
+        ((3, 0, 16), "images have no patch tokens"),
+        ((3, 24, 8), "tokens have dim 8, but the weights at {weights} have d=16")],
+        ids=["no-tokens", "dim"])
+    @pytest.mark.parametrize("command", ["calibrate", "run", "compare", "viz"])
+    def test_dataset_shape_is_data_error(self, workspace, tmp_path, capsys,
+                                         command, shape, message):
+        bad = str(tmp_path / "bad")
+        data.save_dataset(bad, np.ones(shape, np.float32))
+        argv = {"calibrate": ["--r-max", "6", "--out", str(tmp_path / "s.json")],
+                "run": ["--method", "tome", "--r", "3"],
+                "compare": ["--config", "tome:r=3"],
+                "viz": ["--method", "tome", "--r", "3"]}[command]
+        assert main([command, "--weights", workspace["weights"],
+                     "--dataset", bad, *argv]) == 2
+        message = message.format(weights=workspace["weights"])
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 class TestScheduleMismatch:
     def run_adaptive(self, workspace, *extra):
         return main(["run", "--weights", workspace["weights"], "--dataset",
@@ -487,6 +521,27 @@ class TestScheduleMismatch:
     def test_matching_values_are_silent(self, workspace, capsys):
         assert self.run_adaptive(workspace, "--r-max", "6") == 0
         assert capsys.readouterr().err == ""
+
+    def test_schedule_defaults_to_the_stats(self, workspace, tmp_path, capsys):
+        stats = str(tmp_path / "alpha2.json")
+        assert main(["calibrate", "--weights", workspace["weights"],
+                     "--dataset", workspace["dataset"], "--r-max", "6",
+                     "--alpha", "2", "--out", stats]) == 0
+        csvs = {}
+        for label, extra in (("default", ("--r-max", "6")),
+                             ("given", ("--r-max", "6", "--alpha", "2")),
+                             ("no-r-max", ())):
+            out = tmp_path / f"{label}.csv"
+            assert main(["run", "--weights", workspace["weights"], "--dataset",
+                         workspace["dataset"], "--method", "adamerge",
+                         "--stats", stats, *extra, "--out-csv", str(out)]) == 0
+            assert capsys.readouterr().err == "", label
+            csvs[label] = out.read_bytes()
+        assert csvs["default"] == csvs["given"] == csvs["no-r-max"]
+        # alpha 2 is not the alpha-1 run of the workspace stats
+        out = tmp_path / "alpha1.csv"
+        assert self.run_adaptive(workspace, "--out-csv", str(out)) == 0
+        assert out.read_bytes() != csvs["default"]
 
 
 class TestAliases:

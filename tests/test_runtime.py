@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -11,7 +12,7 @@ from adamerge.cli import method_knobs
 from adamerge.runtime import (BlockWeights, ModelDims, RunConfig,
                               TokenSequence, forward_block, forward_model,
                               load_weights, save_weights, synth_weights)
-from adamerge.schedule import LayerStats, ScheduleConfig
+from adamerge.schedule import LayerStats
 
 
 def zero_block(d, d_ff):
@@ -107,34 +108,34 @@ class TestForwardModel:
             assert prev.n_after == prev.n_before - prev.r
 
     # mu far below any sbar puts z near 10, so r_from_z gives ~r_max
-    @pytest.mark.parametrize("big,small,r_small", [
-        (200, 3, 3),
-        (ScheduleConfig(r_max=200), ScheduleConfig(r_max=6), 5)],
-        ids=["fixed", "adaptive"])
-    def test_r_above_a_is_clamped_and_flagged(self, model, image, big, small,
-                                              r_small):
+    @pytest.mark.parametrize("adaptive,small,r_small", [
+        (False, 3, 3), (True, 6, 5)], ids=["fixed", "adaptive"])
+    def test_r_above_a_is_clamped_and_flagged(self, model, image, adaptive,
+                                              small, r_small):
         stats = LayerStats(model_id=model.model_id, mu=np.full(4, -10.0),
                            sigma=np.ones(4), r_max=200, alpha=1.0,
                            temperature=1.0, passes=1, calibration_size=1)
+
+        def schedule(r):  # a fixed r, or the stats with r_max = r
+            return dataclasses.replace(stats, r_max=r) if adaptive else r
+
         _, trace = forward_model(make_seq(image), model,
-                                 RunConfig(salience=False, schedule=big,
-                                           stats=stats))
+                                 RunConfig(salience=False, schedule=schedule(200)))
         first = trace.layers[0]
         assert first.r == (first.n_before + 1) // 2 == 12 and first.r_clamped
         _, trace = forward_model(make_seq(image), model,
-                                 RunConfig(salience=False, schedule=small,
-                                           stats=stats))
+                                 RunConfig(salience=False, schedule=schedule(small)))
         assert trace.layers[0].r == r_small and not trace.layers[0].r_clamped
 
-    @pytest.mark.parametrize("schedule", [None, 3, ScheduleConfig(r_max=6)],
+    @pytest.mark.parametrize("schedule", [None, 3, "adaptive"],
                              ids=["none", "fixed", "adaptive"])
     def test_input_sequence_left_as_given(self, model, image, schedule):
-        stats = flat_stats(model)
+        if schedule == "adaptive":
+            schedule = flat_stats(model)
         seq = make_seq(image)
         arrays = (seq.cls, seq.patches)
         before = [a.tobytes() for a in arrays]
-        _, trace = forward_model(seq, model, RunConfig(schedule=schedule,
-                                                       stats=stats))
+        _, trace = forward_model(seq, model, RunConfig(schedule=schedule))
         if schedule is not None:
             assert trace.total_merges > 0
         assert all(got is want for got, want in
@@ -159,10 +160,13 @@ class TestForwardModel:
                     assert abs(rec.raw_salience_sum - rec.n_before) <= \
                         1e-5 * rec.n_before
 
-    def test_adaptive_requires_stats(self, model, image):
-        cfg = RunConfig(salience=True, schedule=ScheduleConfig(r_max=6))
-        with pytest.raises(ValueError, match="calibration"):
-            forward_model(make_seq(image), model, cfg)
+    @pytest.mark.parametrize("layers", [3, 5])
+    def test_stats_of_another_depth_rejected(self, model, image, layers):
+        stats = dataclasses.replace(flat_stats(model), mu=np.zeros(layers),
+                                    sigma=np.full(layers, 0.1))
+        with pytest.raises(ValueError,
+                           match=f"stats cover {layers} layers, model has 4"):
+            forward_model(make_seq(image), model, RunConfig(schedule=stats))
 
     def test_negative_fixed_r_rejected(self):
         with pytest.raises(ValueError, match="r=-1"):
@@ -172,8 +176,7 @@ class TestForwardModel:
     def test_adaptive_rerun_identical(self, model):
         images = data.synth_images(6, 24, 16, 0.5, seed=7)
         stats = calibration.refine(model, images, r_max=6, passes=2)
-        cfg = RunConfig(salience=True, schedule=ScheduleConfig(r_max=6),
-                        stats=stats)
+        cfg = RunConfig(salience=True, schedule=stats)
         out = []
         for _ in range(2):
             logits, trace = forward_model(make_seq(images[0]), model, cfg)
@@ -227,21 +230,23 @@ class TestSalienceOnlyWhenRead:
     def test_calls_per_layer(self, model, image, calls, salience, schedule,
                              track_maps, per_layer):
         if schedule == "adaptive":
-            schedule = ScheduleConfig(r_max=6)
+            schedule = flat_stats(model)
         cfg = RunConfig(salience=salience, schedule=schedule,
-                        stats=flat_stats(model), track_maps=track_maps)
+                        track_maps=track_maps)
         _, trace = forward_model(make_seq(image), model, cfg)
         assert len(calls) == per_layer * len(trace.layers)
         if per_layer:
             assert calls == [rec.n_before for rec in trace.layers]
 
-    @pytest.mark.parametrize("schedule", [3, ScheduleConfig(r_max=6)],
+    @pytest.mark.parametrize("schedule", [3, "adaptive"],
                              ids=["fixed", "adaptive"])
     def test_maps_leave_a_salience_off_run_unchanged(self, model, schedule):
+        if schedule == "adaptive":
+            schedule = flat_stats(model)
+
         def run(img, track_maps):
             return forward_model(make_seq(img), model, RunConfig(
-                salience=False, schedule=schedule, stats=flat_stats(model),
-                track_maps=track_maps))
+                salience=False, schedule=schedule, track_maps=track_maps))
 
         for img in data.synth_images(3, 24, 16, 0.5, seed=12):
             (l0, t0), (l1, t1) = run(img, False), run(img, True)

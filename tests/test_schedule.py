@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adamerge.matcher import select_merges
-from adamerge.schedule import (LayerStats, ScheduleConfig, logistic, r_from_z,
-                               redundancy_proxy, zscore)
+from adamerge.schedule import (LayerStats, logistic, r_from_z, redundancy_proxy,
+                               zscore)
 
 
 def make_stats(layers=4, mu=0.5, sigma=0.1):
@@ -35,10 +37,10 @@ class TestRedundancyProxy:
         assert redundancy_proxy(m) == pytest.approx(tot / 8, abs=1e-9)
 
 
-def schedule_r(sbar, stats, cfg):
+def schedule_r(sbar, stats):
     """r as the merge step computes it at layer 0, before select_merges
     clamps it to |A|."""
-    return r_from_z(zscore(sbar, stats, 0, cfg.temperature), cfg)
+    return r_from_z(zscore(sbar, stats, 0), stats)
 
 
 def applied(r, a_size):
@@ -49,42 +51,38 @@ def applied(r, a_size):
 
 class TestDecideR:
     def test_midpoint_at_mu(self):
-        stats = make_stats()
-        cfg = ScheduleConfig(r_max=9)
-        assert schedule_r(0.5, stats, cfg) == 4
+        stats = dataclasses.replace(make_stats(), r_max=9)
+        assert schedule_r(0.5, stats) == 4
 
     @pytest.mark.parametrize("r_max", [9, 11, 14, 17, 20, 23])
     def test_z_zero_floor_half(self, r_max):
-        stats = make_stats()
-        cfg = ScheduleConfig(r_max=r_max)
-        assert schedule_r(0.5, stats, cfg) == r_max // 2
+        stats = dataclasses.replace(make_stats(), r_max=r_max)
+        assert schedule_r(0.5, stats) == r_max // 2
 
     def test_saturates_high(self):
-        stats = make_stats()
-        cfg = ScheduleConfig(r_max=9)
-        r = schedule_r(100.0, stats, cfg)
+        stats = dataclasses.replace(make_stats(), r_max=9)
+        r = schedule_r(100.0, stats)
         assert applied(r, a_size=100) == (9, False)
         assert applied(r, a_size=5) == (5, True)
 
     def test_saturates_low(self):
-        stats = make_stats()
-        cfg = ScheduleConfig(r_max=9)
-        assert applied(schedule_r(-100.0, stats, cfg), a_size=100) == (0, False)
+        stats = dataclasses.replace(make_stats(), r_max=9)
+        assert applied(schedule_r(-100.0, stats), a_size=100) == (0, False)
 
     def test_r_from_z_leaves_the_a_clamp_to_the_merge_step(self):
         # select_merges clamps to |A| and flags it
-        assert r_from_z(100.0, ScheduleConfig(r_max=9)) == 9
-        assert r_from_z(-100.0, ScheduleConfig(r_max=9)) == 0
+        stats = dataclasses.replace(make_stats(), r_max=9)
+        assert r_from_z(100.0, stats) == 9
+        assert r_from_z(-100.0, stats) == 0
 
     def test_monotone_in_sbar(self):
-        stats = make_stats()
-        cfg = ScheduleConfig(r_max=23)
-        rs = [schedule_r(s, stats, cfg) for s in np.linspace(0.0, 1.0, 50)]
+        stats = dataclasses.replace(make_stats(), r_max=23)
+        rs = [schedule_r(s, stats) for s in np.linspace(0.0, 1.0, 50)]
         assert all(a <= b for a, b in zip(rs, rs[1:]))
 
     def test_layer_out_of_range(self):
         with pytest.raises(ValueError):
-            zscore(0.5, make_stats(layers=2), 5, 1.0)
+            zscore(0.5, make_stats(layers=2), 5)
 
 
 class TestTemperature:
@@ -97,18 +95,18 @@ class TestTemperature:
 
     def test_temperature_divides_z(self):
         stats = make_stats()
-        assert zscore(0.7, stats, 0, temperature=0.5) == \
-            pytest.approx(2 * zscore(0.7, stats, 0, temperature=1.0))
+        assert zscore(0.7, dataclasses.replace(stats, temperature=0.5), 0) == \
+            pytest.approx(2 * zscore(0.7, dataclasses.replace(stats, temperature=1.0), 0))
 
 
 class TestValidation:
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(r_max=4, temperature=0.0)
+            dataclasses.replace(make_stats(), r_max=4, temperature=0.0)
 
     def test_negative_r_max(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(r_max=-1)
+            dataclasses.replace(make_stats(), r_max=-1)
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
