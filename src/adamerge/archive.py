@@ -3,12 +3,14 @@
 # length}; offsets are relative to the end of the blob's magic header.
 # Round trips are bit-exact.
 #
-# Each tensor's bytes cross memory once: a save writes every tensor from
-# its own buffer, and a load validates the whole manifest against the
-# blob's size before it reads a tensor byte, then reads each tensor
-# straight into its own array. Peak memory of a load is therefore
-# about one payload.
+# A save writes every tensor from its own buffer into temporary files
+# that then replace the old ones, so a reader that has the old blob
+# mapped keeps its bytes. A load validates the whole manifest against
+# the blob's size, then maps the blob read-only and hands out each tensor
+# as a view of that one mapping: it copies no tensor byte, and the page
+# cache, not the process heap, holds the payload.
 
+import contextlib
 import json
 import os
 
@@ -41,14 +43,33 @@ def save_archive(path: str, tensors: dict, meta: dict | None = None) -> None:
         "meta": meta or {},
         "tensors": entries,
     }
-    with open(os.path.join(path, BLOB_NAME), "wb") as f:
+
+    def write_blob(f):
         f.write(MAGIC)
         for name in tensors:
             # a no-op for float32 C-contiguous input; otherwise one
             # tensor-sized conversion, released before the next tensor
             f.write(np.ascontiguousarray(tensors[name], dtype="<f4").data)
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+
+    _replace(path, BLOB_NAME, write_blob)
+    _replace(path, MANIFEST_NAME, lambda f: f.write(
+        json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")))
+
+
+def _replace(path: str, name: str, write) -> None:
+    """Write file `name` of directory `path` under a temporary name, then
+    rename it over the old one. Truncating the old file in place instead
+    would turn a mapped reader's next page fault into SIGBUS."""
+    final = os.path.join(path, name)
+    tmp = f"{final}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, final)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _validated_entries(manifest: dict, payload_size: int) -> dict:
@@ -69,6 +90,9 @@ def _validated_entries(manifest: dict, payload_size: int) -> dict:
             raise ArchiveError(
                 f"tensor {name}: offset {off!r} / length {length!r} must be "
                 "non-negative integers")
+        if off % 4:
+            raise ArchiveError(
+                f"tensor {name}: offset {off} is not a multiple of 4")
         if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
             raise ArchiveError(f"tensor {name}: malformed shape {shape!r}")
         shape = tuple(shape)
@@ -97,8 +121,10 @@ def _is_count(value) -> bool:
 def load_archive(path: str) -> tuple[dict, dict]:
     """Read back (tensors, meta); validates magic, meta, dtypes and extents.
 
-    Every check runs before any tensor byte is read. The result maps each
-    tensor name to an owned, writable, C-contiguous float32 array.
+    Every check runs before the blob is mapped. The result maps each
+    tensor name, in blob order, to a read-only, C-contiguous float32 view
+    of one read-only mapping of the blob; writing to it raises ValueError.
+    The mapping lives as long as any of the views.
     """
     manifest_path = os.path.join(path, MANIFEST_NAME)
     blob_path = os.path.join(path, BLOB_NAME)
@@ -114,30 +140,26 @@ def load_archive(path: str) -> tuple[dict, dict]:
         raise ArchiveError(f"archive at {path}: meta must be a JSON object, "
                            f"got {json.dumps(meta)[:40]}")
 
-    # unbuffered: readinto fills each array without a staging copy
-    with open(blob_path, "rb", buffering=0) as f:
+    with open(blob_path, "rb") as f:
         payload_size = os.fstat(f.fileno()).st_size - len(MAGIC)
         if payload_size < 0 or f.read(len(MAGIC)) != MAGIC:
             raise ArchiveError(f"bad magic in {blob_path}")
         entries = _validated_entries(manifest, payload_size)
-        tensors = {name: _read_exact(f, entries[name], name)
-                   for name in sorted(entries, key=lambda n: entries[n][1])}
-    return tensors, meta
+        # empty tensors cover no byte: with only those there is nothing to map
+        payload = (np.memmap(f, dtype=np.uint8, mode="r", offset=len(MAGIC))
+                   if any(length for _, _, length in entries.values())
+                   else None)
+    return {name: _view(payload, entries[name], name)
+            for name in sorted(entries, key=lambda n: entries[n][1])}, meta
 
 
-def _read_exact(f, entry, name: str) -> np.ndarray:
+def _view(payload: np.ndarray, entry, name: str) -> np.ndarray:
     shape, off, length = entry
-    arr = np.empty(shape, dtype="<f4")
-    if length == 0:
-        return arr
-    f.seek(len(MAGIC) + off)
-    view = memoryview(arr.reshape(-1).view(np.uint8))
-    got = 0
-    while got < length:
-        n = f.readinto(view[got:])
-        if not n:
-            raise ArchiveError(
-                f"tensor {name}: short read, {got} of {length} bytes "
-                "(blob truncated?)")
-        got += n
-    return arr
+    if length == 0:  # covers no byte of the mapping
+        return np.frombuffer(b"", dtype="<f4").reshape(shape)
+    if off + length > len(payload):  # the blob shrank after the size check
+        raise ArchiveError(
+            f"tensor {name}: extent beyond the {len(payload)} mapped payload "
+            "bytes (blob truncated?)")
+    return np.frombuffer(payload, dtype="<f4", count=length // 4,
+                         offset=off).reshape(shape)

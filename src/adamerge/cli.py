@@ -225,6 +225,10 @@ def cmd_run(args) -> int:
     print(f"FLOPs (mean over images): {row['flops_g']:.4g} G "
           f"(reduction {row['flops_reduction_pct']:.1f}% vs merge-free)")
     print(f"accuracy: {'n/a' if acc is None else f'{acc:.4f}'}")
+    recs = [rec for _, tr in results for rec in tr.layers]
+    print(f"merger flags over {len(recs)} layer decisions: " + " ".join(
+        f"{k}={sum(getattr(rec, k) for rec in recs)}"
+        for k in report.MERGER_FLAGS))
     print(f"wall time: {row['wall_time_s']:.3f} s")
     return EXIT_OK
 

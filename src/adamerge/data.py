@@ -17,7 +17,8 @@ MAX_PROTOTYPES = 4
 def synth_images(n_images: int, n_tokens: int, dim: int, redundancy: float,
                  seed: int, k_prototypes: int = MAX_PROTOTYPES) -> np.ndarray:
     """Seed-deterministic [n_images, n_tokens, dim] float32 batch."""
-    for name, v in (("n_tokens", n_tokens), ("dim", dim)):
+    for name, v in (("n_images", n_images), ("n_tokens", n_tokens),
+                    ("dim", dim)):
         if v < 1:
             raise ValueError(f"{name} must be >= 1, got {name}={v}")
     if not 0.0 <= redundancy <= 1.0:

@@ -16,19 +16,22 @@ MERGED_COLOR = "#d62728"
 CHART_SIZE = (640, 440)
 MAP_CELL, MAP_GAP = 9, 14
 
+# the merger's per-layer flags, in the order the run outputs show them
+MERGER_FLAGS = ("r_clamped", "mean_fallback", "empty_b")
+
 
 def write_run_csv(path: str, rows) -> None:
     """Per-layer run records: image_id, layer, N_before, r_l, sbar, z,
     then the merger's flags r_clamped, mean_fallback and empty_b as 0/1."""
-    flags = ("r_clamped", "mean_fallback", "empty_b")
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["image_id", "layer", "n_before", "r", "sbar", "z", *flags])
+        w.writerow(["image_id", "layer", "n_before", "r", "sbar", "z",
+                    *MERGER_FLAGS])
         for image_id, trace in rows:
             for rec in trace.layers:
                 w.writerow([image_id, rec.layer, rec.n_before, rec.r,
                             f"{rec.sbar:.9f}", f"{rec.z:.9f}",
-                            *(int(getattr(rec, k)) for k in flags)])
+                            *(int(getattr(rec, k)) for k in MERGER_FLAGS)])
 
 
 def write_compare_csv(path: str, rows) -> None:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adamerge import archive, data
+from adamerge import data
 from adamerge.archive import MAGIC, ArchiveError, load_archive, save_archive
 
 PAYLOAD = 4 << 20          # bytes of float32 data in the memory-bound tests
@@ -95,14 +95,39 @@ def test_blob_is_magic_plus_tensor_bytes(tmp_path):
                                    "offset": 64, "length": 24}
 
 
-def test_loaded_arrays_are_owned_writable_float32(tmp_path):
+def test_loaded_arrays_are_read_only_float32_views(tmp_path):
     p = str(tmp_path / "arc")
-    save_archive(p, {"a": np.ones((3, 4), np.float32), "b": np.ones(5)})
+    save_archive(p, {"a": np.ones((3, 4), np.float32), "b": np.ones(5),
+                     "e": np.zeros((0, 2), np.float32)})
     back, _ = load_archive(p)
+    assert list(back) == ["a", "b", "e"]
     for arr in back.values():
-        assert arr.base is None
-        assert arr.flags.writeable and arr.flags.c_contiguous
-        assert arr.dtype == np.float32
+        assert arr.dtype == np.float32 and arr.flags.c_contiguous
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+def test_save_replaces_a_mapped_archive(tmp_path):
+    p = str(tmp_path / "arc")
+    save_archive(p, {"a": np.ones((3, 4), np.float32)}, {"v": 1})
+    old, _ = load_archive(p)
+    save_archive(p, {"b": np.full(7, 2.0, np.float32)}, {"v": 2})
+    assert old["a"].tobytes() == np.ones((3, 4), np.float32).tobytes()
+    new, meta = load_archive(p)
+    assert list(new) == ["b"] and meta == {"v": 2}
+    assert new["b"].tobytes() == np.full(7, 2.0, np.float32).tobytes()
+    assert sorted(q.name for q in (tmp_path / "arc").iterdir()) == [
+        "manifest.json", "tensors.bin"]
+
+
+def test_failed_save_leaves_the_old_archive(tmp_path):
+    p = tmp_path / "arc"
+    save_archive(str(p), {"a": np.ones(3, np.float32)})
+    before = {q.name: q.read_bytes() for q in p.iterdir()}
+    with pytest.raises(ValueError):
+        save_archive(str(p), {"a": np.ones(3, np.float32), "b": ["x"]})
+    assert {q.name: q.read_bytes() for q in p.iterdir()} == before
 
 
 @pytest.mark.parametrize("cut", [8 + 4 * 12 + 2, 8 + 4 * 12, 3])
@@ -116,20 +141,21 @@ def test_truncated_blob_rejected(tmp_path, cut):
         load_archive(str(p))
 
 
-def test_blob_shrinking_during_load_is_a_short_read(tmp_path, monkeypatch):
+def test_blob_shrinking_before_the_map_is_rejected(tmp_path, monkeypatch):
     p = tmp_path / "arc"
     save_archive(str(p), {"a": np.ones((3, 4), np.float32),
                           "b": np.ones(7, np.float32)})
-    read_exact = archive._read_exact
+    memmap = np.memmap
 
-    def truncate_then_read(f, entry, name):
-        if name == "a":  # validated, nothing read yet: cut into b
-            with open(p / "tensors.bin", "r+b") as g:
-                g.truncate(8 + 4 * 12 + 5)
-        return read_exact(f, entry, name)
+    def truncate_then_map(*args, **kwargs):
+        # validated against the full size, nothing mapped yet: cut into b
+        with open(p / "tensors.bin", "r+b") as g:
+            g.truncate(8 + 4 * 12 + 5)
+        return memmap(*args, **kwargs)
 
-    monkeypatch.setattr(archive, "_read_exact", truncate_then_read)
-    with pytest.raises(ArchiveError, match="tensor b: short read"):
+    monkeypatch.setattr(np, "memmap", truncate_then_map)
+    with pytest.raises(ArchiveError, match="tensor b: extent beyond the 53 "
+                       "mapped payload bytes"):
         load_archive(str(p))
 
 
@@ -141,8 +167,10 @@ def test_blob_shrinking_during_load_is_a_short_read(tmp_path, monkeypatch):
      "tensors (a and b|b and a): extents overlap"),
     (lambda t: t["a"].update(offset=-4), "tensor a: offset"),
     (lambda t: t["b"].update(length=-28), "tensor b: offset"),
+    (lambda t: t["b"].update(offset=50, length=24, shape=[6]),
+     "tensor b: offset 50 is not a multiple of 4"),
 ], ids=["overlap", "overlap-out-of-order", "same-start", "negative-offset",
-        "negative-length"])
+        "negative-length", "misaligned"])
 def test_bad_extents_rejected_before_any_read(tmp_path, monkeypatch, edit,
                                              match):
     p = tmp_path / "arc"
@@ -150,10 +178,10 @@ def test_bad_extents_rejected_before_any_read(tmp_path, monkeypatch, edit,
                           "b": np.ones(7, np.float32)})
     _edit_manifest(p, lambda doc: edit(doc["tensors"]))
 
-    def never(*args):
-        raise AssertionError("tensor bytes read before validation")
+    def never(*args, **kwargs):
+        raise AssertionError("blob mapped before validation")
 
-    monkeypatch.setattr(archive, "_read_exact", never)
+    monkeypatch.setattr(np, "memmap", never)
     with pytest.raises(ArchiveError, match=match):
         load_archive(str(p))
 
@@ -164,10 +192,10 @@ def test_meta_must_be_an_object(tmp_path, monkeypatch, meta):
     save_archive(str(p), {"a": np.ones(3, np.float32)})
     _edit_manifest(p, lambda doc: doc.update(meta=meta))
 
-    def never(*args):
-        raise AssertionError("tensor bytes read before validation")
+    def never(*args, **kwargs):
+        raise AssertionError("blob mapped before validation")
 
-    monkeypatch.setattr(archive, "_read_exact", never)
+    monkeypatch.setattr(np, "memmap", never)
     with pytest.raises(ArchiveError, match=re.escape(
             f"archive at {p}: meta must be a JSON object, got ")):
         load_archive(str(p))
@@ -190,7 +218,7 @@ class TestPeakMemory:
         p = str(tmp_path / "arc")
         save_archive(p, tensors)
         del tensors
-        assert _peak_bytes(load_archive, p) <= 1.1 * PAYLOAD
+        assert _peak_bytes(load_archive, p) <= SMALL
 
     def test_load_dataset_holds_one_payload(self, tmp_path):
         imgs = data.synth_images(64, 128, PAYLOAD // (64 * 128 * 4), 0.5, seed=3)
@@ -198,7 +226,7 @@ class TestPeakMemory:
         p = str(tmp_path / "ds")
         data.save_dataset(p, imgs)
         del imgs
-        assert _peak_bytes(data.load_dataset, p) <= 1.1 * PAYLOAD
+        assert _peak_bytes(data.load_dataset, p) <= SMALL
 
     def test_save_archive_copies_nothing(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -250,8 +278,10 @@ class TestSynthData:
         p = str(tmp_path / "ds")
         data.save_dataset(p, imgs)
         back, _ = data.load_dataset(p)
-        assert back.base is None and back.flags.writeable
         assert back.dtype == np.float32 and back.shape == (3, 8, 4)
+        assert back.flags.c_contiguous and not back.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("edit, match", [
         (lambda doc: doc["tensors"].pop("images"),

@@ -65,6 +65,16 @@ class TestSynth:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("images", ["0", "-1"])
+    def test_image_count_below_one_is_data_error(self, tmp_path, capsys,
+                                                 images):
+        out = tmp_path / "data"
+        assert main(["synth", "--images", images, "--tokens", "8", "--dim",
+                     "4", "--out", str(out)]) == 2
+        assert f"error: n_images must be >= 1, got n_images={images}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("ADAMERGE_SEED", "77")
@@ -114,6 +124,13 @@ class TestRun:
         assert len(rows) == 8 * 4
         assert all(r["r_clamped"] == "1" for r in rows)
         assert [r["r"] for r in rows[:4]] == ["12", "6", "3", "2"]
+
+    def test_summary_counts_the_merger_flags(self, workspace, capsys):
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "tome", "--r",
+                     "200"]) == 0
+        assert "merger flags over 32 layer decisions: r_clamped=32 " \
+            "mean_fallback=0 empty_b=0\n" in capsys.readouterr().out
 
     def test_summary_flops_are_the_mean_over_images(self, workspace, capsys):
         assert main(["run", "--weights", workspace["weights"], "--dataset",
