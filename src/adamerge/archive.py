@@ -12,6 +12,7 @@
 
 import contextlib
 import json
+import math
 import os
 
 import numpy as np
@@ -96,7 +97,7 @@ def _validated_entries(manifest: dict, payload_size: int) -> dict:
         if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
             raise ArchiveError(f"tensor {name}: malformed shape {shape!r}")
         shape = tuple(shape)
-        if 4 * int(np.prod(shape, dtype=np.int64)) != length:
+        if 4 * math.prod(shape) != length:  # Python ints: no wrap-around
             raise ArchiveError(f"tensor {name}: length {length} != shape {shape}")
         if off + length > payload_size:
             raise ArchiveError(
@@ -121,29 +122,40 @@ def _is_count(value) -> bool:
 def load_archive(path: str) -> tuple[dict, dict]:
     """Read back (tensors, meta); validates magic, meta, dtypes and extents.
 
-    Every check runs before the blob is mapped. The result maps each
-    tensor name, in blob order, to a read-only, C-contiguous float32 view
-    of one read-only mapping of the blob; writing to it raises ValueError.
-    The mapping lives as long as any of the views.
+    Every check runs before the blob is mapped, and every error starts
+    `archive at <path>: `. The result maps each tensor name, in blob
+    order, to a read-only, C-contiguous float32 view of one read-only
+    mapping of the blob; writing to it raises ValueError. The mapping
+    lives as long as any of the views.
     """
+    try:
+        return _load(path)
+    except ArchiveError as e:
+        raise ArchiveError(f"archive at {path}: {e}") from None
+
+
+def _load(path: str) -> tuple[dict, dict]:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     blob_path = os.path.join(path, BLOB_NAME)
     if not os.path.isfile(manifest_path) or not os.path.isfile(blob_path):
-        raise ArchiveError(f"not a tensor archive: {path}")
+        raise ArchiveError("not a tensor archive")
     with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ArchiveError(f"{MANIFEST_NAME}: not valid JSON: {e}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_ID:
         fmt = manifest.get("format") if isinstance(manifest, dict) else None
         raise ArchiveError(f"unsupported archive format: {fmt!r}")
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):
-        raise ArchiveError(f"archive at {path}: meta must be a JSON object, "
-                           f"got {json.dumps(meta)[:40]}")
+        raise ArchiveError(
+            f"meta must be a JSON object, got {json.dumps(meta)[:40]}")
 
     with open(blob_path, "rb") as f:
         payload_size = os.fstat(f.fileno()).st_size - len(MAGIC)
         if payload_size < 0 or f.read(len(MAGIC)) != MAGIC:
-            raise ArchiveError(f"bad magic in {blob_path}")
+            raise ArchiveError(f"bad magic in {BLOB_NAME}")
         entries = _validated_entries(manifest, payload_size)
         # empty tensors cover no byte: with only those there is nothing to map
         payload = (np.memmap(f, dtype=np.uint8, mode="r", offset=len(MAGIC))

@@ -83,7 +83,11 @@ def load_stats(path: str) -> LayerStats:
     """Read stats.json; the file-level checks are here, the checks of
     the values are LayerStats's own. Every error names `path`."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise json.JSONDecodeError(f"{path}: not valid JSON: {e.msg}",
+                                       e.doc, e.pos) from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a stats object")
     if doc.get("version") != STATS_VERSION:

@@ -6,14 +6,12 @@
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import calibration, data, flops, report
-from .archive import ArchiveError
 from .runtime import (ModelDims, RunConfig, load_weights, run_images,
                       save_weights, synth_weights)
 from .schedule import _is_int
@@ -39,12 +37,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_seed(args_seed):
-    if args_seed is not None:
-        return args_seed
-    return int(os.environ.get("ADAMERGE_SEED", "0"))
 
 
 def method_knobs(method: str) -> tuple:
@@ -108,7 +100,11 @@ def _load_inputs(args):
     path, labels = getattr(args, "labels", None), None
     if path:
         with open(path, "r", encoding="utf-8") as f:
-            labels = json.load(f)
+            try:
+                labels = json.load(f)
+            except json.JSONDecodeError as e:
+                raise json.JSONDecodeError(f"{path}: not valid JSON: {e.msg}",
+                                           e.doc, e.pos) from None
         if not isinstance(labels, list) or len(labels) != len(images):
             raise ValueError(
                 f"{path}: labels must be a list of {len(images)} class indices")
@@ -133,12 +129,11 @@ def _accuracy(results, labels):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    seed = _default_seed(args.seed)
     images = data.synth_images(args.images, args.tokens, args.dim,
-                               args.redundancy, seed,
+                               args.redundancy, args.seed,
                                k_prototypes=args.prototypes)
     data.save_dataset(args.out, images,
-                      meta={"redundancy": args.redundancy, "seed": seed,
+                      meta={"redundancy": args.redundancy, "seed": args.seed,
                             "k_prototypes": args.prototypes})
     print(f"wrote {args.images} images ({args.tokens}x{args.dim}, "
           f"rho={args.redundancy}) to {args.out}")
@@ -146,10 +141,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_synth_weights(args) -> int:
-    seed = _default_seed(args.seed)
     dims = ModelDims(d=args.dim, heads=args.heads, d_ff=args.d_ff,
                      layers=args.layers, n_classes=args.classes)
-    save_weights(synth_weights(seed, dims), args.out)
+    save_weights(synth_weights(args.seed, dims), args.out)
     print(f"wrote synthetic ViT weights (d={dims.d}, heads={dims.heads}, "
           f"d_ff={dims.d_ff}, L={dims.layers}) to {args.out}")
     return EXIT_OK
@@ -195,18 +189,20 @@ def _cfg_from_args(args, weights, track_maps=False):
 
 
 def _measure(weights, images, cfg, args, labels):
-    """Forward every image; returns (results, summary row). FLOPs and
-    merges are means over images, since adaptive r varies per image."""
+    """Forward every image; returns (results, summary row). FLOPs,
+    merge overhead and merges are means over images, since adaptive r
+    varies per image."""
     t0 = time.perf_counter()
     results = run_images(weights, images, cfg, threads=args.threads)
     wall = time.perf_counter() - t0
     traces = [tr for _, tr in results]
-    reps = [flops.trace_flops(tr, weights.dims,
-                              include_overhead=args.include_overhead)
-            for tr in traces]
+    reps = [flops.trace_flops(tr, weights.dims) for tr in traces]
     return results, {
-        "flops_g": float(np.mean([r.grand_total for r in reps])) / 1e9,
+        "flops_g": float(np.mean([r.total for r in reps])) / 1e9,
         "flops_reduction_pct": float(np.mean([r.reduction_pct for r in reps])),
+        "overhead_g": float(np.mean([r.overhead for r in reps])) / 1e9,
+        "overhead_pct": float(np.mean([100.0 * r.overhead / r.baseline
+                                       for r in reps])),
         "mean_merges": float(np.mean([tr.total_merges for tr in traces])),
         "accuracy": _accuracy(results, labels), "wall_time_s": wall}
 
@@ -224,6 +220,8 @@ def cmd_run(args) -> int:
     print(f"mean total merges: {row['mean_merges']:.2f}")
     print(f"FLOPs (mean over images): {row['flops_g']:.4g} G "
           f"(reduction {row['flops_reduction_pct']:.1f}% vs merge-free)")
+    print(f"merge overhead (mean over images): {row['overhead_g']:.4g} G "
+          f"({row['overhead_pct']:.1f}% of merge-free)")
     print(f"accuracy: {'n/a' if acc is None else f'{acc:.4f}'}")
     recs = [rec for _, tr in results for rec in tr.layers]
     print(f"merger flags over {len(recs)} layer decisions: " + " ".join(
@@ -263,23 +261,20 @@ def cmd_compare(args) -> int:
     series = {}
     for spec in args.config:
         method, opts = parse_config_spec(spec)
-        cfg = build_run_config(method, stats=stats,
-                               alpha=opts.get("alpha", args.alpha),
-                               temperature=opts.get("temperature", args.temperature),
-                               r=opts.get("r"), r_max=opts.get("r_max"))
+        cfg = build_run_config(method, stats=stats, **opts)
         _, row = _measure(weights, images, cfg, args, labels)
         rows.append({"config": spec, "method": method, **row})
         series.setdefault(method, []).append((row["flops_g"], row["mean_merges"]))
 
     hdr = (f"{'config':<28} {'FLOPs(G)':>10} {'FLOPs v':>8} "
-           f"{'merges':>8} {'acc':>8} {'wall(s)':>8}")
+           f"{'ovhd(G)':>10} {'merges':>8} {'acc':>8} {'wall(s)':>8}")
     print(hdr)
     print("-" * len(hdr))
     for r in rows:
         acc = "n/a" if r["accuracy"] is None else f"{r['accuracy']:.4f}"
         print(f"{r['config']:<28} {r['flops_g']:>10.4g} "
-              f"{r['flops_reduction_pct']:>7.1f}% {r['mean_merges']:>8.1f} "
-              f"{acc:>8} {r['wall_time_s']:>8.3f}")
+              f"{r['flops_reduction_pct']:>7.1f}% {r['overhead_g']:>10.4g} "
+              f"{r['mean_merges']:>8.1f} {acc:>8} {r['wall_time_s']:>8.3f}")
     if args.out_csv:
         report.write_compare_csv(args.out_csv, rows)
     if args.out_svg:
@@ -333,7 +328,7 @@ def make_parser() -> _Parser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--redundancy", type=float, default=0.5)
     p.add_argument("--prototypes", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -343,7 +338,7 @@ def make_parser() -> _Parser:
     p.add_argument("--d-ff", type=int, required=True)
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--classes", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth_weights)
 
@@ -365,7 +360,6 @@ def make_parser() -> _Parser:
     _add_schedule_flags(p)
     p.add_argument("--labels", default=None)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--include-overhead", action="store_true")
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_run)
 
@@ -375,11 +369,8 @@ def make_parser() -> _Parser:
     p.add_argument("--config", action="append", required=True,
                    help="e.g. tome:r=8 or adamerge:r_max=23")
     p.add_argument("--stats", default=None)
-    p.add_argument("--alpha", type=float, help="default: the stats' alpha")
-    p.add_argument("--temperature", type=float, help="default: the stats' temperature")
     p.add_argument("--labels", default=None)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--include-overhead", action="store_true")
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-svg", default=None)
     p.set_defaults(func=cmd_compare)
@@ -404,7 +395,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ArchiveError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -16,15 +16,11 @@ class FlopsReport:
     total: int            # core cost over the actual per-layer lengths
     overhead: int         # merge-step scoring + salience cost (0 when not merging)
     baseline: int         # merge-free model at the input length
-    include_overhead: bool
-
-    @property
-    def grand_total(self) -> int:
-        return self.total + (self.overhead if self.include_overhead else 0)
 
     @property
     def reduction_pct(self) -> float:
-        return 100.0 * (1.0 - self.grand_total / self.baseline)
+        """Core reduction versus the baseline, overhead not counted."""
+        return 100.0 * (1.0 - self.total / self.baseline)
 
 
 def block_flops(n_tokens: int, d: int, d_ff: int) -> int:
@@ -60,7 +56,7 @@ def fixed_schedule_lengths(n_patch0: int, r: int, layers: int) -> list:
     return [max(n_patch0 - r * l, 0) + 1 for l in range(layers)]
 
 
-def trace_flops(trace, dims, include_overhead: bool = False) -> FlopsReport:
+def trace_flops(trace, dims) -> FlopsReport:
     """FLOPs of an actual run versus its merge-free baseline.
 
     Each layer is charged at the sequence length entering its merge step
@@ -78,5 +74,4 @@ def trace_flops(trace, dims, include_overhead: bool = False) -> FlopsReport:
         if trace.merging:
             overhead += merge_overhead_flops(
                 rec.n_before, dims.d, rec.raw_salience_sum is not None)
-    return FlopsReport(total=total, overhead=overhead, baseline=baseline,
-                       include_overhead=include_overhead)
+    return FlopsReport(total=total, overhead=overhead, baseline=baseline)

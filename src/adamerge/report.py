@@ -38,10 +38,11 @@ def write_compare_csv(path: str, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["config", "method", "flops_g", "flops_reduction_pct",
-                    "mean_merges", "accuracy", "wall_time_s"])
+                    "overhead_g", "mean_merges", "accuracy", "wall_time_s"])
         for r in rows:
             w.writerow([r["config"], r["method"], f"{r['flops_g']:.6f}",
                         f"{r['flops_reduction_pct']:.3f}",
+                        f"{r['overhead_g']:.6f}",
                         f"{r['mean_merges']:.3f}",
                         "n/a" if r["accuracy"] is None else f"{r['accuracy']:.4f}",
                         f"{r['wall_time_s']:.4f}"])

@@ -45,8 +45,10 @@ def test_round_trip_bit_exact(tmp_path):
 
 
 def test_missing_directory(tmp_path):
-    with pytest.raises(ArchiveError):
-        load_archive(str(tmp_path / "nope"))
+    p = str(tmp_path / "nope")
+    with pytest.raises(ArchiveError, match=f"^archive at {re.escape(p)}: not "
+                       "a tensor archive$"):
+        load_archive(p)
 
 
 def test_bad_format_id(tmp_path):
@@ -55,7 +57,8 @@ def test_bad_format_id(tmp_path):
     doc = json.loads((p / "manifest.json").read_text())
     doc["format"] = "other"
     (p / "manifest.json").write_text(json.dumps(doc))
-    with pytest.raises(ArchiveError, match="format"):
+    with pytest.raises(ArchiveError, match=f"^archive at {re.escape(str(p))}: "
+                       "unsupported archive format: 'other'$"):
         load_archive(str(p))
 
 
@@ -137,7 +140,8 @@ def test_truncated_blob_rejected(tmp_path, cut):
                           "b": np.ones(7, np.float32)})
     blob = p / "tensors.bin"
     blob.write_bytes(blob.read_bytes()[:cut])
-    with pytest.raises(ArchiveError, match="extent|magic"):
+    with pytest.raises(ArchiveError, match=f"^archive at {re.escape(str(p))}: "
+                       "(tensor b: extent|bad magic)"):
         load_archive(str(p))
 
 
@@ -169,8 +173,11 @@ def test_blob_shrinking_before_the_map_is_rejected(tmp_path, monkeypatch):
     (lambda t: t["b"].update(length=-28), "tensor b: offset"),
     (lambda t: t["b"].update(offset=50, length=24, shape=[6]),
      "tensor b: offset 50 is not a multiple of 4"),
+    # (2**62 + 3) * 4 elements wrap to 12 in int64: a's 48 bytes
+    (lambda t: t["a"].update(shape=[2**62 + 3, 4]),
+     r"tensor a: length 48 != shape \(4611686018427387907, 4\)"),
 ], ids=["overlap", "overlap-out-of-order", "same-start", "negative-offset",
-        "negative-length", "misaligned"])
+        "negative-length", "misaligned", "overflow"])
 def test_bad_extents_rejected_before_any_read(tmp_path, monkeypatch, edit,
                                              match):
     p = tmp_path / "arc"
@@ -182,7 +189,8 @@ def test_bad_extents_rejected_before_any_read(tmp_path, monkeypatch, edit,
         raise AssertionError("blob mapped before validation")
 
     monkeypatch.setattr(np, "memmap", never)
-    with pytest.raises(ArchiveError, match=match):
+    with pytest.raises(ArchiveError, match=f"^archive at {re.escape(str(p))}: "
+                       f"{match}"):
         load_archive(str(p))
 
 

@@ -75,15 +75,36 @@ class TestSynth:
             capsys.readouterr().err
         assert not out.exists()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero_whatever_the_environment(self, tmp_path,
+                                                            monkeypatch):
+        # a variable that once set the default seed must not move it
         a, b = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("ADAMERGE_SEED", "77")
-        main(["synth", "--images", "1", "--tokens", "4", "--dim", "2",
-              "--out", str(a)])
-        main(["synth", "--images", "1", "--tokens", "4", "--dim", "2",
-              "--seed", "77", "--out", str(b)])
+        assert main(["synth", "--images", "1", "--tokens", "4", "--dim", "2",
+                     "--out", str(a)]) == 0
+        assert main(["synth", "--images", "1", "--tokens", "4", "--dim", "2",
+                     "--seed", "0", "--out", str(b)]) == 0
         assert (a / "tensors.bin").read_bytes() == \
             (b / "tensors.bin").read_bytes()
+
+    def test_prototype_count_changes_the_images(self, tmp_path):
+        blobs = []
+        for k in ("1", "4"):
+            out = tmp_path / k
+            assert main(["synth", "--images", "2", "--tokens", "8", "--dim",
+                         "4", "--prototypes", k, "--out", str(out)]) == 0
+            blobs.append((out / "tensors.bin").read_bytes())
+        assert blobs[0] != blobs[1]
+
+    @pytest.mark.parametrize("k", ["0", "5"])
+    def test_prototype_count_out_of_range_is_data_error(self, tmp_path, capsys,
+                                                        k):
+        out = tmp_path / "data"
+        assert main(["synth", "--images", "2", "--tokens", "8", "--dim", "4",
+                     "--prototypes", k, "--out", str(out)]) == 2
+        assert f"error: k_prototypes must be in [1, 4], got {k}\n" == \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCalibrate:
@@ -93,6 +114,16 @@ class TestCalibrate:
         assert doc["num_layers"] == 4
         assert len(doc["mu"]) == 4 and len(doc["sigma"]) == 4
         assert all(s > 0 for s in doc["sigma"])
+
+    def test_schedule_values_are_stored(self, workspace, tmp_path):
+        out = tmp_path / "stats.json"
+        assert main(["calibrate", "--weights", workspace["weights"],
+                     "--dataset", workspace["dataset"], "--r-max", "5",
+                     "--alpha", "2", "--temperature", "0.5", "--passes", "1",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["r_max"], doc["alpha"], doc["temperature"], doc["passes"]) \
+            == (5, 2.0, 0.5, 1)
 
 
 class TestRun:
@@ -136,9 +167,12 @@ class TestRun:
         assert main(["run", "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--method", "adamerge", "--r-max",
                      "6", "--stats", workspace["stats"]]) == 0
+        out = capsys.readouterr().out
         shown = re.search(r"FLOPs \(mean over images\): ([\d.e+-]+) G "
-                          r"\(reduction ([\d.]+)%", capsys.readouterr().out)
-        assert shown
+                          r"\(reduction ([\d.]+)%", out)
+        overhead = re.search(r"merge overhead \(mean over images\): "
+                             r"([\d.e+-]+) G \(([\d.]+)% of merge-free\)", out)
+        assert shown and overhead
 
         weights = load_weights(workspace["weights"])
         images, _ = data.load_dataset(workspace["dataset"])
@@ -152,8 +186,13 @@ class TestRun:
         assert shown.group(2) == mean_reduction
         # a CLI-scale model is well under 0.001 GFLOPs; it must not print 0
         assert float(shown.group(1)) > 0
-        assert shown.group(1) == \
-            f"{np.mean([r.grand_total for r in reps]) / 1e9:.4g}"
+        assert shown.group(1) == f"{np.mean([r.total for r in reps]) / 1e9:.4g}"
+        # the overhead is shown apart from the core FLOPs, never added in
+        assert float(overhead.group(1)) > 0
+        assert overhead.group(1) == \
+            f"{np.mean([r.overhead for r in reps]) / 1e9:.4g}"
+        assert overhead.group(2) == \
+            f"{np.mean([100 * r.overhead / r.baseline for r in reps]):.1f}"
 
     def test_rerun_csv_byte_identical(self, workspace, tmp_path):
         outs = []
@@ -196,6 +235,10 @@ class TestCompare:
         rows = list(csv.DictReader(open(out_csv)))
         assert [r["config"] for r in rows] == \
             ["tome:r=3", "adamerge:r_max=6", "sw-only:r=3", "adp-only:r_max=6"]
+        assert list(rows[0]) == ["config", "method", "flops_g",
+                                 "flops_reduction_pct", "overhead_g",
+                                 "mean_merges", "accuracy", "wall_time_s"]
+        assert all(float(r["overhead_g"]) > 0 for r in rows)
         assert all(r["accuracy"] == "n/a" for r in rows)
         svg = open(out_svg).read()
         assert svg.startswith("<svg") and "polyline" in svg
@@ -304,6 +347,22 @@ class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["run"]) == 1
         assert main(["bogus-command"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--method", "none", "--include-overhead"],
+        ["compare", "--config", "none", "--include-overhead"],
+        ["compare", "--config", "none", "--alpha", "2"],
+        ["compare", "--config", "none", "--temperature", "2"]],
+        ids=["run-include-overhead", "compare-include-overhead",
+             "compare-alpha", "compare-temperature"])
+    def test_removed_flags_are_usage_errors(self, workspace, capsys, argv):
+        # the overhead is always shown; compare configs take alpha= and
+        # temperature= per spec
+        command, *rest = argv
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], *rest]) == 1
+        assert "unrecognized arguments: " + " ".join(rest[2:]) in \
+            capsys.readouterr().err
 
     def test_data_error_is_two(self, tmp_path):
         assert main(["run", "--weights", str(tmp_path / "nope"),
@@ -535,6 +594,17 @@ class TestScheduleMismatch:
             "warning: r_max=8 differs from the stats' r_max=6",
             "warning: temperature=0.5 differs from the stats' temperature=1.0"]
 
+    @pytest.mark.parametrize("command", ["run", "viz"])
+    def test_given_alpha_and_temperature_reach_the_schedule(
+            self, workspace, capsys, command):
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge", "--stats",
+                     workspace["stats"], "--alpha", "2", "--temperature",
+                     "0.5"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: alpha=2.0 differs from the stats' alpha=1.0",
+            "warning: temperature=0.5 differs from the stats' temperature=1.0"]
+
     def test_matching_values_are_silent(self, workspace, capsys):
         assert self.run_adaptive(workspace, "--r-max", "6") == 0
         assert capsys.readouterr().err == ""
@@ -591,6 +661,45 @@ class TestRejectedArchives:
         assert capsys.readouterr().err == (
             f"error: archive at {paths[which]}: meta must be a JSON object, "
             "got [1]\n")
+
+    @pytest.mark.parametrize("which", ["weights", "dataset"])
+    def test_error_names_the_bad_archive(self, workspace, tmp_path, capsys,
+                                         which):
+        paths = {k: workspace[k] for k in ("weights", "dataset")}
+        paths[which] = str(shutil.copytree(workspace[which], tmp_path / which))
+        man = tmp_path / which / "manifest.json"
+        doc = json.loads(man.read_text())
+        name = next(iter(doc["tensors"]))
+        doc["tensors"][name]["dtype"] = "f64"
+        man.write_text(json.dumps(doc))
+        assert main(["run", "--weights", paths["weights"], "--dataset",
+                     paths["dataset"], "--method", "none"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: archive at {paths[which]}: tensor {name}: unsupported "
+            "dtype f64\n")
+
+    @pytest.mark.parametrize("kind", ["manifest", "stats", "labels"])
+    def test_malformed_json_names_its_file(self, workspace, tmp_path, capsys,
+                                           kind):
+        paths = {k: workspace[k] for k in ("weights", "dataset", "stats")}
+        paths["labels"] = str(tmp_path / "labels.json")
+        (tmp_path / "labels.json").write_text(json.dumps([0] * 8))
+        if kind == "manifest":
+            paths["dataset"] = str(shutil.copytree(workspace["dataset"],
+                                                   tmp_path / "data"))
+            bad = tmp_path / "data" / "manifest.json"
+        else:
+            bad = tmp_path / f"{kind}.json"
+            paths[kind] = str(bad)
+        bad.write_text("{\n'x': 1}")
+        assert main(["run", "--weights", paths["weights"], "--dataset",
+                     paths["dataset"], "--method", "adamerge", "--stats",
+                     paths["stats"], "--labels", paths["labels"]]) == 2
+        where = (f"archive at {paths['dataset']}: manifest.json"
+                 if kind == "manifest" else str(bad))
+        assert capsys.readouterr().err == (
+            f"error: {where}: not valid JSON: Expecting property name enclosed "
+            "in double quotes: line 2 column 1 (char 2)\n")
 
     @pytest.mark.parametrize("tensors", [
         lambda imgs: {f"image_{i:05d}": img for i, img in enumerate(imgs)},

@@ -1,0 +1,53 @@
+# Every flag of every subcommand is exercised somewhere, so a flag that
+# nothing turns on cannot linger. A flag of subcommand S counts as used
+# when one test function (its parametrize decorators included) spells
+# both S and the flag as string literals, or when one simple statement
+# or `for` loop of tools/digest.py does; that tool runs every subcommand
+# from a single function, so the whole function would prove nothing.
+
+import ast
+import glob
+import os
+import re
+
+from adamerge.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def help_text(capsys, *argv):
+    assert main([*argv, "--help"]) == 0
+    return capsys.readouterr().out
+
+
+def strings(node):
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def parse(path):
+    with open(path, encoding="utf-8") as f:
+        return ast.parse(f.read())
+
+
+def literal_sets():
+    for path in sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                yield strings(node)
+    for node in ast.walk(parse(os.path.join(ROOT, "tools", "digest.py"))):
+        if isinstance(node, ast.For) or (isinstance(node, ast.stmt)
+                                         and not hasattr(node, "body")):
+            yield strings(node)
+
+
+def test_every_flag_of_every_subcommand_is_exercised(capsys):
+    commands = re.search(r"\{([\w,-]+)\}", help_text(capsys)).group(1)
+    units = list(literal_sets())
+    unused = [(command, flag)
+              for command in commands.split(",")
+              for flag in sorted(set(re.findall(r"--[a-z][a-z-]*",
+                                                help_text(capsys, command))))
+              if flag != "--help"
+              and not any(command in unit and flag in unit for unit in units)]
+    assert unused == []

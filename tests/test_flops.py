@@ -62,11 +62,12 @@ class TestTraceFlops:
         # scoring on every layer; the affinity only where salience ran
         for method, salience in (("tome", False), ("sw-only", True)):
             trace, dims = self.run_trace(method, 8)
-            rep = trace_flops(trace, dims, include_overhead=True)
+            rep = trace_flops(trace, dims)
             want = sum(merge_overhead_flops(rec.n_before, dims.d, salience)
                        for rec in trace.layers)
             assert rep.overhead == want
-            assert rep.grand_total == rep.total + rep.overhead
+            # the reduction is the core one; the overhead is reported apart
+            assert rep.reduction_pct == 100.0 * (1.0 - rep.total / rep.baseline)
 
     def test_overhead_is_scoring_plus_affinity(self):
         # n = 5: |A| = 3, |B| = 2
