@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -25,6 +26,22 @@ FORMAT_ID = "adamerge-tensor-archive-v1"
 
 class ArchiveError(ValueError):
     pass
+
+
+def read_json(path, name=None):
+    """Parse the UTF-8 JSON file at `path`. A file that does not decode
+    or parse raises ValueError (json.JSONDecodeError for a parse error)
+    whose message starts `<name>: not valid JSON: `; `name` defaults to
+    `path`."""
+    name = name or path
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise json.JSONDecodeError(f"{name}: not valid JSON: {e.msg}",
+                                       e.doc, e.pos) from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{name}: not valid JSON: {e}") from None
 
 
 def save_archive(path: str, tensors: dict, meta: dict | None = None) -> None:
@@ -99,6 +116,10 @@ def _validated_entries(manifest: dict, payload_size: int) -> dict:
         shape = tuple(shape)
         if 4 * math.prod(shape) != length:  # Python ints: no wrap-around
             raise ArchiveError(f"tensor {name}: length {length} != shape {shape}")
+        # numpy's limits: 64 dimensions, and a byte size that fits in intp
+        # even for the non-zero dimensions of an empty shape
+        if len(shape) > 64 or 4 * math.prod(s for s in shape if s) > sys.maxsize:
+            raise ArchiveError(f"tensor {name}: shape {shape} is too large for an array")
         if off + length > payload_size:
             raise ArchiveError(
                 f"tensor {name}: extent beyond blob (truncated file?)")
@@ -130,7 +151,7 @@ def load_archive(path: str) -> tuple[dict, dict]:
     """
     try:
         return _load(path)
-    except ArchiveError as e:
+    except ValueError as e:  # an ArchiveError or a read_json error
         raise ArchiveError(f"archive at {path}: {e}") from None
 
 
@@ -139,11 +160,7 @@ def _load(path: str) -> tuple[dict, dict]:
     blob_path = os.path.join(path, BLOB_NAME)
     if not os.path.isfile(manifest_path) or not os.path.isfile(blob_path):
         raise ArchiveError("not a tensor archive")
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ArchiveError(f"{MANIFEST_NAME}: not valid JSON: {e}") from None
+    manifest = read_json(manifest_path, MANIFEST_NAME)
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_ID:
         fmt = manifest.get("format") if isinstance(manifest, dict) else None
         raise ArchiveError(f"unsupported archive format: {fmt!r}")

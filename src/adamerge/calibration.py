@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 
+from .archive import read_json
 from .runtime import ModelWeights, RunConfig, run_images
 from .schedule import SIGMA_FLOOR, LayerStats, check_schedule
 
@@ -18,18 +19,14 @@ _FIELDS = tuple(f.name for f in dataclasses.fields(LayerStats))
 _STATS_KEYS = {"version", "num_layers", *_FIELDS}
 
 
-def collect_pass(weights: ModelWeights, images, cfg: RunConfig,
-                 threads: int = 1) -> np.ndarray:
-    """One calibration pass under `cfg`; returns proxies[L][n_images].
-
-    Results are accumulated in image-index order regardless of thread
-    completion order.
-    """
+def collect_pass(weights: ModelWeights, images, cfg: RunConfig) -> np.ndarray:
+    """One calibration pass under `cfg`; returns proxies[L][n_images],
+    in image order."""
     images = list(images)
     if not images:
         raise ValueError("calibration dataset is empty")
     rows = [[rec.sbar for rec in trace.layers]
-            for _, trace in run_images(weights, images, cfg, threads)]
+            for _, trace in run_images(weights, images, cfg)]
     return np.asarray(rows, dtype=np.float64).T  # [L, n_images]
 
 
@@ -50,7 +47,7 @@ def fit_stats(samples: np.ndarray, *, model_id: str, r_max: int,
 
 def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
            temperature: float = 1.0, passes: int = 2,
-           salience: bool = True, threads: int = 1) -> LayerStats:
+           salience: bool = True) -> LayerStats:
     """Iterative refinement: bootstrap pass at fixed r = r_max // 2, then
     `passes - 1` adaptive passes each calibrated against the previous
     statistics. Two passes is the recommended protocol."""
@@ -61,7 +58,7 @@ def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
     images = list(images)
     cfg = RunConfig(salience=salience, schedule=r_max // 2)
     for p in range(passes):
-        stats = fit_stats(collect_pass(weights, images, cfg, threads),
+        stats = fit_stats(collect_pass(weights, images, cfg),
                           model_id=weights.model_id, r_max=r_max, alpha=alpha,
                           temperature=temperature, passes=p + 1)
         cfg = RunConfig(salience=salience, schedule=stats)
@@ -82,12 +79,7 @@ def save_stats(stats: LayerStats, path: str) -> None:
 def load_stats(path: str) -> LayerStats:
     """Read stats.json; the file-level checks are here, the checks of
     the values are LayerStats's own. Every error names `path`."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise json.JSONDecodeError(f"{path}: not valid JSON: {e.msg}",
-                                       e.doc, e.pos) from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a stats object")
     if doc.get("version") != STATS_VERSION:

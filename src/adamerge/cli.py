@@ -5,13 +5,13 @@
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 
 import numpy as np
 
 from . import calibration, data, flops, report
+from .archive import read_json
 from .runtime import (ModelDims, RunConfig, load_weights, run_images,
                       save_weights, synth_weights)
 from .schedule import _is_int
@@ -99,12 +99,7 @@ def _load_inputs(args):
             f"weights at {args.weights} have d={weights.dims.d}")
     path, labels = getattr(args, "labels", None), None
     if path:
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                labels = json.load(f)
-            except json.JSONDecodeError as e:
-                raise json.JSONDecodeError(f"{path}: not valid JSON: {e.msg}",
-                                           e.doc, e.pos) from None
+        labels = read_json(path)
         if not isinstance(labels, list) or len(labels) != len(images):
             raise ValueError(
                 f"{path}: labels must be a list of {len(images)} class indices")
@@ -158,8 +153,7 @@ def cmd_calibrate(args) -> int:
     weights, images, _ = _load_inputs(args)
     stats = calibration.refine(weights, images, args.r_max, alpha=args.alpha,
                                temperature=args.temperature,
-                               passes=args.passes, salience=salience,
-                               threads=args.threads)
+                               passes=args.passes, salience=salience)
     calibration.save_stats(stats, args.out)
     print(f"calibrated {stats.num_layers} layers on {stats.calibration_size} "
           f"images ({stats.passes} passes) -> {args.out}")
@@ -188,12 +182,12 @@ def _cfg_from_args(args, weights, track_maps=False):
                             stats=stats, track_maps=track_maps)
 
 
-def _measure(weights, images, cfg, args, labels):
+def _measure(weights, images, cfg, labels):
     """Forward every image; returns (results, summary row). FLOPs,
     merge overhead and merges are means over images, since adaptive r
     varies per image."""
     t0 = time.perf_counter()
-    results = run_images(weights, images, cfg, threads=args.threads)
+    results = run_images(weights, images, cfg)
     wall = time.perf_counter() - t0
     traces = [tr for _, tr in results]
     reps = [flops.trace_flops(tr, weights.dims) for tr in traces]
@@ -211,7 +205,7 @@ def cmd_run(args) -> int:
     weights, images, labels = _load_inputs(args)
     cfg = _cfg_from_args(args, weights)
 
-    results, row = _measure(weights, images, cfg, args, labels)
+    results, row = _measure(weights, images, cfg, labels)
     if args.out_csv:
         report.write_run_csv(args.out_csv,
                              [(i, tr) for i, (_, tr) in enumerate(results)])
@@ -262,7 +256,7 @@ def cmd_compare(args) -> int:
     for spec in args.config:
         method, opts = parse_config_spec(spec)
         cfg = build_run_config(method, stats=stats, **opts)
-        _, row = _measure(weights, images, cfg, args, labels)
+        _, row = _measure(weights, images, cfg, labels)
         rows.append({"config": spec, "method": method, **row})
         series.setdefault(method, []).append((row["flops_g"], row["mean_merges"]))
 
@@ -350,7 +344,6 @@ def make_parser() -> _Parser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--passes", type=int, default=2)
     p.add_argument("--method", choices=list(METHOD_ALIASES), default="adamerge")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
@@ -359,7 +352,6 @@ def make_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     _add_schedule_flags(p)
     p.add_argument("--labels", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_run)
 
@@ -370,7 +362,6 @@ def make_parser() -> _Parser:
                    help="e.g. tome:r=8 or adamerge:r_max=23")
     p.add_argument("--stats", default=None)
     p.add_argument("--labels", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-svg", default=None)
     p.set_defaults(func=cmd_compare)

@@ -6,7 +6,6 @@
 import ctypes
 import functools
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 import numpy as np
@@ -283,22 +282,13 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
     return logits, trace
 
 
-def run_images(weights: ModelWeights, images, cfg: RunConfig,
-               threads: int = 1) -> list:
+def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
     """Forward each [N, d] image with a zero CLS token; returns one
-    (logits, trace) per image, in image order whatever the thread count."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got threads={threads}")
-
-    def one(patches):
-        seq = TokenSequence(cls=np.zeros(weights.dims.d, dtype=np.float32),
-                            patches=np.asarray(patches, dtype=np.float32))
-        return forward_model(seq, weights, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, images))
-    return [one(img) for img in images]
+    (logits, trace) per image, in image order."""
+    d = weights.dims.d
+    return [forward_model(TokenSequence(cls=np.zeros(d, dtype=np.float32),
+                                        patches=np.asarray(img, dtype=np.float32)),
+                          weights, cfg) for img in images]
 
 
 def _weight_shapes(dims: ModelDims) -> dict:
@@ -356,7 +346,12 @@ def load_weights(path: str) -> ModelWeights:
         dims = ModelDims(**{f.name: meta[f.name] for f in fields(ModelDims)})
     except (KeyError, ValueError) as e:
         raise archive.ArchiveError(f"archive at {path}: bad model meta ({e})") from e
-    for name, shape in _weight_shapes(dims).items():
+    shapes = _weight_shapes(dims)
+    extra = next((name for name in tensors if name not in shapes), None)
+    if extra is not None:
+        raise archive.ArchiveError(f"archive at {path}: unexpected tensor {extra}; "
+                                   f"the meta describes a {dims.layers}-layer model")
+    for name, shape in shapes.items():
         if name not in tensors:
             raise archive.ArchiveError(f"archive at {path}: missing tensor {name}")
         if tensors[name].shape != shape:

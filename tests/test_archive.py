@@ -194,6 +194,24 @@ def test_bad_extents_rejected_before_any_read(tmp_path, monkeypatch, edit,
         load_archive(str(p))
 
 
+@pytest.mark.parametrize("shape", [
+    [2**70, 0], [2**61, 0], [0, 2**60, 2], [1] * 64 + [0]],
+    ids=["dim-beyond-intp", "bytes-beyond-intp", "product-beyond-intp",
+         "65-dims"])
+def test_unrepresentable_shape_rejected(tmp_path, shape):
+    p = tmp_path / "arc"
+    save_archive(str(p), {"a": np.ones(3, np.float32),
+                          "e": np.zeros(0, np.float32)})
+    _edit_manifest(p, lambda doc: doc["tensors"]["e"].update(shape=shape))
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"archive at {p}: tensor e: shape {tuple(shape)} is too large "
+            "for an array")):
+        load_archive(str(p))
+    # the largest empty shape numpy still represents loads
+    _edit_manifest(p, lambda doc: doc["tensors"]["e"].update(shape=[2**61 - 1, 0]))
+    assert load_archive(str(p))[0]["e"].shape == (2**61 - 1, 0)
+
+
 @pytest.mark.parametrize("meta", [[1], "x", None])
 def test_meta_must_be_an_object(tmp_path, monkeypatch, meta):
     p = tmp_path / "arc"

@@ -44,12 +44,6 @@ class TestCollectPass:
         with pytest.raises(ValueError):
             calibration.collect_pass(small_model, [], BOOTSTRAP)
 
-    def test_threaded_matches_serial(self, small_model, cal_images):
-        a = calibration.collect_pass(small_model, cal_images, BOOTSTRAP)
-        b = calibration.collect_pass(small_model, cal_images, BOOTSTRAP,
-                                     threads=4)
-        assert np.array_equal(a, b)
-
 
 class TestFitStats:
     def test_two_point(self):

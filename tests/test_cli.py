@@ -204,14 +204,6 @@ class TestRun:
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_do_not_change_csv(self, workspace, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["run", "--weights", workspace["weights"], "--dataset",
-                workspace["dataset"], "--method", "tome", "--r", "3"]
-        assert main(base + ["--out-csv", str(a)]) == 0
-        assert main(base + ["--threads", "4", "--out-csv", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_missing_stats_is_data_error(self, workspace):
         code = main(["run", "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--method", "adamerge",
@@ -364,6 +356,20 @@ class TestExitCodes:
         assert "unrecognized arguments: " + " ".join(rest[2:]) in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,argv", [
+        ("calibrate", ["--r-max", "6"]),
+        ("run", ["--method", "tome", "--r", "3"]),
+        ("compare", ["--config", "tome:r=3"])], ids=["calibrate", "run", "compare"])
+    def test_threads_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                      command, argv):
+        # images run one at a time on one Python thread; BLAS threads the GEMMs
+        out = tmp_path / "out"
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], *argv, "--threads", "2",
+                     *(["--out", str(out)] if command == "calibrate" else [])]) == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_is_two(self, tmp_path):
         assert main(["run", "--weights", str(tmp_path / "nope"),
                      "--dataset", str(tmp_path / "nope2"),
@@ -415,18 +421,6 @@ class TestRejectedSchedules:
             capsys.readouterr()
             assert main(argv) == 2, argv[0]
             assert "r=-" in capsys.readouterr().err, argv[0]
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["calibrate", "run", "compare"])
-    def test_threads_below_one_is_data_error(self, workspace, tmp_path,
-                                             capsys, command, threads):
-        base = ["--weights", workspace["weights"], "--dataset",
-                workspace["dataset"], "--threads", threads]
-        argv = {"calibrate": ["--r-max", "6", "--out", str(tmp_path / "s.json")],
-                "run": ["--method", "tome", "--r", "3"],
-                "compare": ["--config", "tome:r=3"]}[command]
-        assert main([command, *base, *argv]) == 2
-        assert f"threads={threads}" in capsys.readouterr().err
 
     def test_merge_count_for_none_is_data_error(self, workspace, capsys):
         base = ["--weights", workspace["weights"], "--dataset",
@@ -678,9 +672,10 @@ class TestRejectedArchives:
             f"error: archive at {paths[which]}: tensor {name}: unsupported "
             "dtype f64\n")
 
-    @pytest.mark.parametrize("kind", ["manifest", "stats", "labels"])
-    def test_malformed_json_names_its_file(self, workspace, tmp_path, capsys,
-                                           kind):
+    @staticmethod
+    def run_with_bad_json(workspace, tmp_path, kind, content):
+        """`run` with the `kind` JSON input holding `content`; returns the
+        exit code and how the error should name that input."""
         paths = {k: workspace[k] for k in ("weights", "dataset", "stats")}
         paths["labels"] = str(tmp_path / "labels.json")
         (tmp_path / "labels.json").write_text(json.dumps([0] * 8))
@@ -691,15 +686,32 @@ class TestRejectedArchives:
         else:
             bad = tmp_path / f"{kind}.json"
             paths[kind] = str(bad)
-        bad.write_text("{\n'x': 1}")
-        assert main(["run", "--weights", paths["weights"], "--dataset",
+        bad.write_bytes(content)
+        code = main(["run", "--weights", paths["weights"], "--dataset",
                      paths["dataset"], "--method", "adamerge", "--stats",
-                     paths["stats"], "--labels", paths["labels"]]) == 2
-        where = (f"archive at {paths['dataset']}: manifest.json"
-                 if kind == "manifest" else str(bad))
+                     paths["stats"], "--labels", paths["labels"]])
+        return code, (f"archive at {paths['dataset']}: manifest.json"
+                      if kind == "manifest" else str(bad))
+
+    @pytest.mark.parametrize("kind", ["manifest", "stats", "labels"])
+    def test_malformed_json_names_its_file(self, workspace, tmp_path, capsys,
+                                           kind):
+        code, where = self.run_with_bad_json(workspace, tmp_path, kind,
+                                             b"{\n'x': 1}")
+        assert code == 2
         assert capsys.readouterr().err == (
             f"error: {where}: not valid JSON: Expecting property name enclosed "
             "in double quotes: line 2 column 1 (char 2)\n")
+
+    @pytest.mark.parametrize("kind", ["manifest", "stats", "labels"])
+    def test_non_utf8_json_names_its_file(self, workspace, tmp_path, capsys,
+                                          kind):
+        code, where = self.run_with_bad_json(workspace, tmp_path, kind,
+                                             b"\xff{}")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {where}: not valid JSON: 'utf-8' codec can't decode byte "
+            "0xff in position 0: invalid start byte\n")
 
     @pytest.mark.parametrize("tensors", [
         lambda imgs: {f"image_{i:05d}": img for i, img in enumerate(imgs)},

@@ -1,9 +1,10 @@
 # Method names ("tome", "adamerge", ...) belong to the command line. The
 # library modules take the two knobs of a RunConfig (salience on/off and
 # a schedule), so none of them may import the CLI, hold an alias table
-# or spell a method name.
+# or spell a method name. No module starts a thread or a process.
 
 import ast
+import glob
 import os
 
 import pytest
@@ -42,3 +43,16 @@ def test_library_module_knows_no_method_name(module):
         elif isinstance(node, ast.Constant):
             assert node.value not in METHOD_ALIASES, \
                 f"{module} spells method name {node.value!r} (line {node.lineno})"
+
+
+def test_no_module_starts_threads_or_processes():
+    # images run one at a time; BLAS's own threads parallelize the GEMMs
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for name in imported_modules(node):
+                    assert name.partition(".")[0] not in (
+                        "threading", "_thread", "concurrent", "multiprocessing"), \
+                        f"{os.path.basename(path)} imports {name} (line {node.lineno})"

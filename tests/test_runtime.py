@@ -321,6 +321,25 @@ class TestWeightsArchive:
                 f"archive at {p}: missing tensor head.weight")):
             load_weights(str(p))
 
+    @pytest.mark.parametrize("edit,extra", [
+        (lambda doc: doc["meta"].update(layers=doc["meta"]["layers"] - 1), None),
+        (lambda doc: doc["tensors"].update(stray={
+            "shape": [0], "dtype": "f32", "offset": 0, "length": 0}), "stray")], ids=["fewer-layers", "stray-tensor"])
+    def test_extra_tensor_rejected(self, model, tmp_path, edit, extra):
+        import json
+        p = tmp_path / "weights"
+        save_weights(model, str(p))
+        man = p / "manifest.json"
+        doc = json.loads(man.read_text())
+        edit(doc)
+        man.write_text(json.dumps(doc))
+        layers = doc["meta"]["layers"]
+        extra = extra or f"block{layers:02d}.ln1_gamma"
+        with pytest.raises(ArchiveError, match=re.escape(
+                f"archive at {p}: unexpected tensor {extra}; the meta describes "
+                f"a {layers}-layer model")):
+            load_weights(str(p))
+
     def test_tensor_shape_mismatch_rejected(self, model, tmp_path):
         import json
         p = tmp_path / "weights"
