@@ -31,36 +31,35 @@ def collect_pass(weights: ModelWeights, images, cfg: RunConfig) -> np.ndarray:
 
 
 def fit_stats(samples: np.ndarray, *, model_id: str, r_max: int,
-              alpha: float, temperature: float, passes: int) -> LayerStats:
+              alpha: float, passes: int) -> LayerStats:
     """Per-layer mean and population (1/n) standard deviation.
 
     Sigma is floored at SIGMA_FLOOR so degenerate calibration sets stay
-    usable.
+    usable. alpha is the one gain: temperature stays 1.0.
     """
     samples = np.asarray(samples, dtype=np.float64)
     mu = samples.mean(axis=1)
     sigma = np.maximum(samples.std(axis=1), SIGMA_FLOOR)
     return LayerStats(model_id=model_id, mu=mu, sigma=sigma, r_max=r_max,
-                      alpha=alpha, temperature=temperature, passes=passes,
+                      alpha=alpha, temperature=1.0, passes=passes,
                       calibration_size=samples.shape[1])
 
 
 def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
-           temperature: float = 1.0, passes: int = 2,
-           salience: bool = True) -> LayerStats:
+           passes: int = 2, salience: bool = True) -> LayerStats:
     """Iterative refinement: bootstrap pass at fixed r = r_max // 2, then
     `passes - 1` adaptive passes each calibrated against the previous
     statistics. Two passes is the recommended protocol."""
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     # a bad value fails before any forward pass
-    check_schedule(r_max, alpha, temperature)
+    check_schedule(r_max, alpha, temperature=1.0)
     images = list(images)
     cfg = RunConfig(salience=salience, schedule=r_max // 2)
     for p in range(passes):
         stats = fit_stats(collect_pass(weights, images, cfg),
                           model_id=weights.model_id, r_max=r_max, alpha=alpha,
-                          temperature=temperature, passes=p + 1)
+                          passes=p + 1)
         cfg = RunConfig(salience=salience, schedule=stats)
     return stats
 
@@ -95,8 +94,9 @@ def load_stats(path: str) -> LayerStats:
         raise ValueError(f"{path}: missing fields {sorted(missing)}")
     try:
         n = doc["num_layers"]
-        if np.shape(doc["mu"]) != (n,) or np.shape(doc["sigma"]) != (n,):
-            raise ValueError(f"mu/sigma length != num_layers = {n}")
+        if any(not isinstance(doc[k], list) or len(doc[k]) != n
+               for k in ("mu", "sigma")):
+            raise ValueError(f"mu and sigma must be lists of num_layers = {n}")
         return LayerStats(**{name: doc[name] for name in _FIELDS})
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

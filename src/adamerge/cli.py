@@ -48,16 +48,15 @@ def method_knobs(method: str) -> tuple:
 
 
 def build_run_config(method: str, *, r: int | None = None,
-                     r_max: int | None = None, alpha: float | None = None,
-                     temperature: float | None = None, stats=None,
+                     r_max: int | None = None, stats=None,
                      track_maps: bool = False) -> RunConfig:
     """Resolve a method alias and CLI-style options into a RunConfig.
 
     tome and sw-only run fixed schedules (want --r); adamerge and
     adp-only run the calibrated stats as their schedule unless --r forces
-    a fixed one, so `adamerge --r k` is `sw-only --r k`. An r_max, alpha
-    or temperature left at None is the stats' own; a given one overrides
-    it, with a warning when they differ.
+    a fixed one, so `adamerge --r k` is `sw-only --r k`. An r_max left at
+    None is the stats' own; a given one overrides it, with a warning when
+    they differ. alpha and temperature are always the stats' own.
     """
     salience, kind = method_knobs(method)
     if kind is None:
@@ -74,14 +73,10 @@ def build_run_config(method: str, *, r: int | None = None,
         raise ValueError(
             f"method {method} needs calibrated stats; run `adamerge "
             "calibrate` first or pass --r for a fixed schedule")
-    given = {name: v for name, v in (("r_max", r_max), ("alpha", alpha),
-                                     ("temperature", temperature))
-             if v is not None}
-    sched = dataclasses.replace(stats, **given)
-    for name, v in given.items():
-        if v != getattr(stats, name):
-            print(f"warning: {name}={v} differs from the "
-                  f"stats' {name}={getattr(stats, name)}", file=sys.stderr)
+    sched = stats if r_max is None else dataclasses.replace(stats, r_max=r_max)
+    if sched.r_max != stats.r_max:
+        print(f"warning: r_max={r_max} differs from the stats' "
+              f"r_max={stats.r_max}", file=sys.stderr)
     return RunConfig(salience=salience, schedule=sched, track_maps=track_maps)
 
 
@@ -152,7 +147,6 @@ def cmd_calibrate(args) -> int:
             "redundancy statistics to calibrate")
     weights, images, _ = _load_inputs(args)
     stats = calibration.refine(weights, images, args.r_max, alpha=args.alpha,
-                               temperature=args.temperature,
                                passes=args.passes, salience=salience)
     calibration.save_stats(stats, args.out)
     print(f"calibrated {stats.num_layers} layers on {stats.calibration_size} "
@@ -178,7 +172,6 @@ def _load_stats(path, weights):
 def _cfg_from_args(args, weights, track_maps=False):
     stats = _load_stats(args.stats, weights)
     return build_run_config(args.method, r=args.r, r_max=args.r_max,
-                            alpha=args.alpha, temperature=args.temperature,
                             stats=stats, track_maps=track_maps)
 
 
@@ -233,16 +226,14 @@ def parse_config_spec(spec: str):
     if rest:
         for kv in rest.split(","):
             key, _, val = kv.partition("=")
-            if key not in ("r", "r_max", "alpha", "temperature"):
-                raise ValueError(f"unknown option {key!r} in config {spec!r}")
+            if key not in ("r", "r_max"):
+                raise ValueError(f"config {spec!r}: unknown option {key!r}")
             if key in opts:
                 raise ValueError(f"config {spec!r}: {key} given twice")
-            cast, kind = ((float, "a number") if key in ("alpha", "temperature")
-                          else (int, "an integer"))
             try:
-                opts[key] = cast(val)
+                opts[key] = int(val)
             except ValueError:
-                raise ValueError(f"config {spec!r}: {key} must be {kind}, "
+                raise ValueError(f"config {spec!r}: {key} must be an integer, "
                                  f"got {val!r}") from None
     return method, opts
 
@@ -306,8 +297,6 @@ def _add_schedule_flags(p):
                    help="fixed per-layer merge count")
     p.add_argument("--r-max", type=int, default=None,
                    help="adaptive-schedule budget (default: the stats' r_max)")
-    p.add_argument("--alpha", type=float, help="default: the stats' alpha")
-    p.add_argument("--temperature", type=float, help="default: the stats' temperature")
     p.add_argument("--stats", default=None, help="stats.json path")
 
 
@@ -341,7 +330,6 @@ def make_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--passes", type=int, default=2)
     p.add_argument("--method", choices=list(METHOD_ALIASES), default="adamerge")
     p.add_argument("--out", required=True)

@@ -2,6 +2,7 @@
 # best-match score) is standardized by calibrated per-layer statistics and
 # squashed through a sigmoid to pick r in [0, r_max].
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +19,24 @@ def _is_real(v) -> bool:
         and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """math.isfinite of a real number; an int beyond float64 is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def check_schedule(r_max, alpha, temperature) -> None:
     """Raise ValueError, naming the field, unless the adaptive schedule
     r = floor(r_max * sigmoid(alpha * z / T)) is well defined."""
     if not _is_int(r_max) or r_max < 0:
         raise ValueError(f"r_max must be an integer >= 0, got r_max={r_max!r}")
-    for name, v in (("alpha", alpha), ("temperature", temperature)):
+    for name, v in (("r_max", r_max), ("alpha", alpha),
+                    ("temperature", temperature)):
         if not _is_real(v):
             raise ValueError(f"{name} must be a real number, got {name}={v!r}")
-        if not np.isfinite(v):
+        if not _is_finite(v):
             raise ValueError(f"{name} must be finite, got {name}={v}")
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
@@ -51,19 +61,19 @@ class LayerStats:
             v = getattr(self, name)
             if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {name}={v!r}")
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
+        for name, want in (("mu", "finite"),
+                           ("sigma", "finite and strictly positive")):
+            for l, v in enumerate(getattr(self, name)):
+                if not _is_real(v):
+                    raise ValueError(f"{name} must be a real number at every "
+                                     f"layer; layer {l} has {name}={v!r}")
+                if not _is_finite(v) or (name == "sigma" and v <= 0):
+                    raise ValueError(f"{name} must be {want} at every layer; "
+                                     f"layer {l} has {name}={v}")
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if len(self.mu) != len(self.sigma):
             raise ValueError(
                 f"mu/sigma length mismatch: {len(self.mu)} vs {len(self.sigma)}")
-        for name, ok, want in (
-                ("mu", np.isfinite(self.mu), "finite"),
-                ("sigma", np.isfinite(self.sigma) & (self.sigma > 0),
-                 "finite and strictly positive")):
-            if not ok.all():
-                l = int(np.flatnonzero(~ok)[0])
-                raise ValueError(f"{name} must be {want} at every layer; "
-                                 f"layer {l} has {name}={getattr(self, name)[l]}")
 
     @property
     def num_layers(self) -> int:

@@ -48,22 +48,20 @@ class TestCollectPass:
 class TestFitStats:
     def test_two_point(self):
         stats = calibration.fit_stats(np.array([[0.4, 0.6]]), model_id="t",
-                                      r_max=4, alpha=1.0, temperature=1.0,
-                                      passes=1)
+                                      r_max=4, alpha=1.0, passes=1)
         assert stats.mu[0] == pytest.approx(0.5)
         assert stats.sigma[0] == pytest.approx(0.1)
 
     def test_constant_samples_floored(self):
         stats = calibration.fit_stats(np.full((2, 5), 0.3), model_id="t",
-                                      r_max=4, alpha=1.0, temperature=1.0,
-                                      passes=1)
+                                      r_max=4, alpha=1.0, passes=1)
         assert np.all(stats.sigma == SIGMA_FLOOR)
 
     def test_against_textbook_formula(self):
         rng = np.random.default_rng(5)
         samples = rng.uniform(0, 1, size=(1, 100))
         stats = calibration.fit_stats(samples, model_id="t", r_max=4,
-                                      alpha=1.0, temperature=1.0, passes=1)
+                                      alpha=1.0, passes=1)
         n = samples.shape[1]
         mean = samples.sum() / n
         var = sum((v - mean) ** 2 for v in samples[0]) / n
@@ -76,8 +74,7 @@ class TestRefine:
         stats = calibration.refine(small_model, cal_images, r_max=6, passes=1)
         samples = calibration.collect_pass(small_model, cal_images, BOOTSTRAP)
         want = calibration.fit_stats(samples, model_id=small_model.model_id,
-                                     r_max=6, alpha=1.0, temperature=1.0,
-                                     passes=1)
+                                     r_max=6, alpha=1.0, passes=1)
         assert np.array_equal(stats.mu, want.mu)
         assert np.array_equal(stats.sigma, want.sigma)
 
@@ -121,8 +118,7 @@ class TestRefine:
                                salience=salience), p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("field,value", [("alpha", np.nan),
-                                             ("temperature", np.inf)])
+    @pytest.mark.parametrize("field,value", [("alpha", np.nan)])
     def test_bad_schedule_value_fails_before_any_pass(self, small_model,
                                                       field, value):
         # an empty dataset would fail in the bootstrap pass

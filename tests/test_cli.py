@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -119,11 +120,11 @@ class TestCalibrate:
         out = tmp_path / "stats.json"
         assert main(["calibrate", "--weights", workspace["weights"],
                      "--dataset", workspace["dataset"], "--r-max", "5",
-                     "--alpha", "2", "--temperature", "0.5", "--passes", "1",
-                     "--out", str(out)]) == 0
+                     "--alpha", "2", "--passes", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
+        # alpha is the one gain; temperature stays in the format at 1.0
         assert (doc["r_max"], doc["alpha"], doc["temperature"], doc["passes"]) \
-            == (5, 2.0, 0.5, 1)
+            == (5, 2.0, 1.0, 1)
 
 
 class TestRun:
@@ -264,7 +265,7 @@ class TestCompare:
     @pytest.mark.parametrize("spec, message", [
         ("tome:r=x", "r must be an integer, got 'x'"),
         ("tome:r", "r must be an integer, got ''"),
-        ("adamerge:r_max=16,alpha=", "alpha must be a number, got ''"),
+        ("adamerge:r_max=16,alpha=", "unknown option 'alpha'"),
         ("tome:r=3,r=4", "r given twice"),
     ])
     def test_bad_option_value_names_the_spec_and_key(self, workspace, capsys,
@@ -274,9 +275,13 @@ class TestCompare:
         assert capsys.readouterr().err == f"error: config {spec!r}: {message}\n"
 
     def test_parse_config_spec(self):
-        method, opts = parse_config_spec("adamerge:r_max=23,temperature=0.5")
+        method, opts = parse_config_spec("adamerge:r_max=23")
         assert method == "adamerge"
-        assert opts == {"r_max": 23, "temperature": 0.5}
+        assert opts == {"r_max": 23}
+        # alpha and temperature come from the stats only
+        for key in ("alpha", "temperature"):
+            with pytest.raises(ValueError, match=f"unknown option '{key}'"):
+                parse_config_spec(f"adamerge:r_max=23,{key}=0.5")
 
 
 class TestViz:
@@ -344,17 +349,28 @@ class TestExitCodes:
         ["run", "--method", "none", "--include-overhead"],
         ["compare", "--config", "none", "--include-overhead"],
         ["compare", "--config", "none", "--alpha", "2"],
-        ["compare", "--config", "none", "--temperature", "2"]],
+        ["compare", "--config", "none", "--temperature", "2"],
+        ["run", "--method", "adamerge", "--alpha", "2"],
+        ["run", "--method", "adamerge", "--temperature", "2"],
+        ["viz", "--method", "adamerge", "--alpha", "2"],
+        ["viz", "--method", "adamerge", "--temperature", "2"],
+        ["calibrate", "--r-max", "6", "--temperature", "2"]],
         ids=["run-include-overhead", "compare-include-overhead",
-             "compare-alpha", "compare-temperature"])
-    def test_removed_flags_are_usage_errors(self, workspace, capsys, argv):
-        # the overhead is always shown; compare configs take alpha= and
-        # temperature= per spec
+             "compare-alpha", "compare-temperature", "run-alpha",
+             "run-temperature", "viz-alpha", "viz-temperature",
+             "calibrate-temperature"])
+    def test_removed_flags_are_usage_errors(self, workspace, tmp_path, capsys,
+                                            argv):
+        # the overhead is always shown; alpha and temperature come from the
+        # stats, and calibrate's --alpha is the schedule's one gain
         command, *rest = argv
+        out = tmp_path / "out"
         assert main([command, "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], *rest]) == 1
+                     workspace["dataset"], *rest,
+                     *(["--out", str(out)] if command == "calibrate" else [])]) == 1
         assert "unrecognized arguments: " + " ".join(rest[2:]) in \
             capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,argv", [
         ("calibrate", ["--r-max", "6"]),
@@ -434,19 +450,15 @@ class TestRejectedSchedules:
             err = capsys.readouterr().err
             assert "takes neither r nor r_max" in err and given in err, err
 
-    @pytest.mark.parametrize("flag,value", [("alpha", "nan"),
-                                            ("temperature", "inf")])
-    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    @pytest.mark.parametrize("command,flag,value",
+                             [("calibrate", "alpha", "nan")])
     def test_non_finite_schedule_value_is_data_error(self, workspace, tmp_path,
                                                      capsys, command, flag,
                                                      value):
         out = tmp_path / "s.json"
-        argv = {"calibrate": ["--r-max", "6", "--out", str(out)],
-                "run": ["--method", "adamerge", "--r-max", "6",
-                        "--stats", workspace["stats"]]}[command]
         assert main([command, "--weights", workspace["weights"],
-                     "--dataset", workspace["dataset"], *argv,
-                     f"--{flag}", value]) == 2
+                     "--dataset", workspace["dataset"], "--r-max", "6",
+                     "--out", str(out), f"--{flag}", value]) == 2
         assert f"{flag} must be finite, got {flag}={value}" in \
             capsys.readouterr().err
         assert not out.exists()
@@ -458,6 +470,15 @@ class TestRejectedSchedules:
         ("temperature", None, "temperature must be a real number"),
         ("alpha", [1.0], "alpha must be a real number"),
         ("alpha", True, "alpha must be a real number"),
+        # ints beyond float64's range are not finite; -2**70 is finite
+        pytest.param("alpha", -10**400, "alpha must be finite",
+                     id="alpha--10**400"),
+        pytest.param("temperature", 10**400, "temperature must be finite",
+                     id="temperature-10**400"),
+        pytest.param("temperature", -2**70, "temperature must be > 0",
+                     id="temperature--2**70"),
+        pytest.param("r_max", 10**400, "r_max must be finite",
+                     id="r_max-10**400"),
         ("r_max", -3, "r_max must be an integer >= 0"),
         ("r_max", 2.5, "r_max must be an integer >= 0"),
         ("r_max", True, "r_max must be an integer >= 0"),
@@ -488,6 +509,22 @@ class TestRejectedSchedules:
                      "6", "--stats", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}: mu must be finite" in err and "layer 2 has mu=" in err, err
+
+    @pytest.mark.parametrize("value", [{"a": 1}, [1.0], "x", True, None],
+                             ids=["object", "list", "string", "bool", "null"])
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    def test_stats_element_of_the_wrong_type_is_data_error(
+            self, workspace, tmp_path, capsys, field, value):
+        doc = json.loads(open(workspace["stats"]).read())
+        doc[field][2] = value
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge",
+                     "--stats", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: {field} must be a real number at every layer; "
+            f"layer 2 has {field}={value!r}\n")
 
     def test_r_zero_still_runs_the_merge_step(self, workspace):
         weights = load_weights(workspace["weights"])
@@ -581,23 +618,9 @@ class TestScheduleMismatch:
                      "--stats", workspace["stats"], *extra])
 
     def test_mismatched_r_max_warns(self, workspace, capsys):
-        assert self.run_adaptive(workspace, "--r-max", "8",
-                                 "--temperature", "0.5") == 0
+        assert self.run_adaptive(workspace, "--r-max", "8") == 0
         err = capsys.readouterr().err.splitlines()
-        assert err == [
-            "warning: r_max=8 differs from the stats' r_max=6",
-            "warning: temperature=0.5 differs from the stats' temperature=1.0"]
-
-    @pytest.mark.parametrize("command", ["run", "viz"])
-    def test_given_alpha_and_temperature_reach_the_schedule(
-            self, workspace, capsys, command):
-        assert main([command, "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge", "--stats",
-                     workspace["stats"], "--alpha", "2", "--temperature",
-                     "0.5"]) == 0
-        assert capsys.readouterr().err.splitlines() == [
-            "warning: alpha=2.0 differs from the stats' alpha=1.0",
-            "warning: temperature=0.5 differs from the stats' temperature=1.0"]
+        assert err == ["warning: r_max=8 differs from the stats' r_max=6"]
 
     def test_matching_values_are_silent(self, workspace, capsys):
         assert self.run_adaptive(workspace, "--r-max", "6") == 0
@@ -610,7 +633,6 @@ class TestScheduleMismatch:
                      "--alpha", "2", "--out", stats]) == 0
         csvs = {}
         for label, extra in (("default", ("--r-max", "6")),
-                             ("given", ("--r-max", "6", "--alpha", "2")),
                              ("no-r-max", ())):
             out = tmp_path / f"{label}.csv"
             assert main(["run", "--weights", workspace["weights"], "--dataset",
@@ -618,11 +640,53 @@ class TestScheduleMismatch:
                          "--stats", stats, *extra, "--out-csv", str(out)]) == 0
             assert capsys.readouterr().err == "", label
             csvs[label] = out.read_bytes()
-        assert csvs["default"] == csvs["given"] == csvs["no-r-max"]
+        assert csvs["default"] == csvs["no-r-max"]
         # alpha 2 is not the alpha-1 run of the workspace stats
         out = tmp_path / "alpha1.csv"
         assert self.run_adaptive(workspace, "--out-csv", str(out)) == 0
         assert out.read_bytes() != csvs["default"]
+
+
+class TestScheduleFromStats:
+    def run_csv(self, workspace, tmp_path, label, **fields):
+        """Rows of the adaptive run on the workspace stats with `fields`
+        replaced."""
+        doc = json.loads(open(workspace["stats"]).read())
+        doc.update(fields)
+        stats, out = tmp_path / f"{label}.json", tmp_path / f"{label}.csv"
+        stats.write_text(json.dumps(doc))
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge", "--stats",
+                     str(stats), "--out-csv", str(out)]) == 0
+        return list(csv.DictReader(open(out)))
+
+    def test_temperature_from_the_file_divides_z(self, workspace, tmp_path):
+        # calibrate always writes temperature 1.0; a hand-written stats.json
+        # may set another, and r = floor(r_max * sigmoid(alpha * z)) with
+        # z = (sbar - mu) / sigma / T
+        runs = {t: self.run_csv(workspace, tmp_path, f"t{t}", alpha=1.5,
+                                temperature=t) for t in (0.5, 1.0)}
+        # layer 0 sees the same input and sbar whatever the schedule
+        z0 = [(float(a["z"]), float(b["z"]))
+              for a, b in zip(runs[0.5], runs[1.0]) if a["layer"] == "0"]
+        assert len(z0) == 8 and max(abs(z) for _, z in z0) > 0.1
+        for z_half, z_one in z0:
+            assert z_half == pytest.approx(2 * z_one, abs=2e-9)
+        for rows in runs.values():
+            for row in rows:
+                r = int(row["r"])
+                want = math.floor(6 / (1 + math.exp(-1.5 * float(row["z"]))))
+                assert r == want or (row["r_clamped"] == "1" and r < want), row
+
+    @pytest.mark.parametrize("field,value", [("alpha", -2**70),
+                                             ("temperature", 2**70)],
+                             ids=["alpha--2**70", "temperature-2**70"])
+    def test_huge_integer_runs_as_its_float_value(self, workspace, tmp_path,
+                                                  field, value):
+        # both are finite float64 values: alpha saturates every r at 0 or
+        # r_max, and temperature puts every z near 0
+        assert self.run_csv(workspace, tmp_path, "int", **{field: value}) == \
+            self.run_csv(workspace, tmp_path, "float", **{field: float(value)})
 
 
 class TestAliases:

@@ -21,10 +21,10 @@ only that field.
 commands on a d=16 workspace built in a temporary directory: the
 manifest.json and tensors.bin of `synth-weights` and `synth`, the
 `calibrate` stats.json of each merging alias, the `run` CSVs and
-stdout, the CSV of an adaptive `run` on stats calibrated with alpha 2
-that gives no `--alpha`, the `compare` CSV and SVG, and the `viz` SVG
-and CSV. Wall times are left out: the `run` stdout line and the
-`compare` CSV column.
+stdout, the CSV of an adaptive `run` on stats calibrated with
+`--alpha 2` (a run takes alpha only from its stats), the `compare` CSV
+and SVG, and the `viz` SVG and CSV. Wall times are left out: the `run`
+stdout line and the `compare` CSV column.
 """
 
 import argparse
@@ -139,7 +139,7 @@ def cli_digests():
                            if not line.startswith("wall time:"))
             yield f"run:{label} csv", sha256(read("run.csv"))
             yield f"run:{label} stdout", sha256(kept.encode())
-        # an adaptive run that gives r_max but leaves alpha to the stats
+        # an adaptive run on the stats' own alpha
         cli("calibrate", *inputs, "--r-max", "6", "--alpha", "2",
             "--out", path("alpha2.json"))
         cli("run", *inputs, "--method", "adamerge", "--r-max", "6",
@@ -147,7 +147,7 @@ def cli_digests():
         yield "run:adamerge:r_max=6 alpha2-stats csv", sha256(read("run.csv"))
 
         configs = ("none", "tome:r=3", "sw-only:r=3", "adamerge:r_max=6",
-                   "adp-only:r_max=6", "adamerge:r_max=6,temperature=0.5")
+                   "adp-only:r_max=6", "adamerge:r_max=4")
         cli("compare", *inputs, *stats, "--labels", path("labels.json"),
             *(a for c in configs for a in ("--config", c)),
             "--out-csv", path("compare.csv"), "--out-svg", path("compare.svg"))
