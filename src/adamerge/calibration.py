@@ -11,9 +11,10 @@ import numpy as np
 
 from .archive import read_json
 from .runtime import ModelWeights, RunConfig, run_images
-from .schedule import SIGMA_FLOOR, LayerStats, check_schedule
+from .schedule import SIGMA_FLOOR, LayerStats, _is_int, check_schedule
 
-STATS_VERSION = 1
+# version 2 added the salience setting the stats were calibrated with
+STATS_VERSION = 2
 # stats.json holds every LayerStats field plus these two file-level ones
 _FIELDS = tuple(f.name for f in dataclasses.fields(LayerStats))
 _STATS_KEYS = {"version", "num_layers", *_FIELDS}
@@ -31,18 +32,19 @@ def collect_pass(weights: ModelWeights, images, cfg: RunConfig) -> np.ndarray:
 
 
 def fit_stats(samples: np.ndarray, *, model_id: str, r_max: int,
-              alpha: float, passes: int) -> LayerStats:
+              alpha: float, passes: int, salience: bool) -> LayerStats:
     """Per-layer mean and population (1/n) standard deviation.
 
     Sigma is floored at SIGMA_FLOOR so degenerate calibration sets stay
-    usable. alpha is the one gain: temperature stays 1.0.
+    usable. alpha is the one gain: temperature stays 1.0. `salience` is
+    the setting the samples were collected under.
     """
     samples = np.asarray(samples, dtype=np.float64)
     mu = samples.mean(axis=1)
     sigma = np.maximum(samples.std(axis=1), SIGMA_FLOOR)
     return LayerStats(model_id=model_id, mu=mu, sigma=sigma, r_max=r_max,
                       alpha=alpha, temperature=1.0, passes=passes,
-                      calibration_size=samples.shape[1])
+                      calibration_size=samples.shape[1], salience=salience)
 
 
 def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
@@ -59,7 +61,7 @@ def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
     for p in range(passes):
         stats = fit_stats(collect_pass(weights, images, cfg),
                           model_id=weights.model_id, r_max=r_max, alpha=alpha,
-                          passes=p + 1)
+                          passes=p + 1, salience=salience)
         cfg = RunConfig(salience=salience, schedule=stats)
     return stats
 
@@ -81,10 +83,11 @@ def load_stats(path: str) -> LayerStats:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a stats object")
-    if doc.get("version") != STATS_VERSION:
+    version = doc.get("version")
+    if not _is_int(version) or version != STATS_VERSION:
         raise ValueError(
-            f"{path}: unsupported stats version {doc.get('version')!r} "
-            f"(this build reads version {STATS_VERSION})")
+            f"{path}: unsupported stats version {version!r} (this build reads "
+            f"version {STATS_VERSION}; re-run `adamerge calibrate`)")
     unknown = set(doc) - _STATS_KEYS
     if unknown:
         raise ValueError(

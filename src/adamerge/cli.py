@@ -20,16 +20,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-# Method names are aliases for the two knobs of a RunConfig, known only
-# here: salience (weighted scores and salience aggregation) and the
-# default schedule kind; "none" runs no merge step at all.
-METHOD_ALIASES = {
-    "none": (False, None),
-    "tome": (False, "fixed"),
-    "adamerge": (True, "adaptive"),
-    "sw-only": (True, "fixed"),
-    "adp-only": (False, "adaptive"),
-}
+# A method name sets the salience knob of a RunConfig (weighted scores
+# and salience aggregation), known only here; "none" runs no merge step
+# at all. The schedule is set apart from the name: --r fixes it, --stats
+# makes it adaptive.
+METHOD_ALIASES = {"none": False, "tome": False, "adamerge": True}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,8 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def method_knobs(method: str) -> tuple:
-    """(salience, schedule kind) of a method alias."""
+def method_salience(method: str) -> bool:
+    """The salience setting of a method name."""
     if method not in METHOD_ALIASES:
         raise ValueError(
             f"unknown method {method!r}; expected one of {tuple(METHOD_ALIASES)}")
@@ -49,35 +44,45 @@ def method_knobs(method: str) -> tuple:
 
 def build_run_config(method: str, *, r: int | None = None,
                      r_max: int | None = None, stats=None,
+                     stats_path: str | None = None,
                      track_maps: bool = False) -> RunConfig:
-    """Resolve a method alias and CLI-style options into a RunConfig.
+    """Resolve a method name and CLI-style options into a RunConfig.
 
-    tome and sw-only run fixed schedules (want --r); adamerge and
-    adp-only run the calibrated stats as their schedule unless --r forces
-    a fixed one, so `adamerge --r k` is `sw-only --r k`. An r_max left at
-    None is the stats' own; a given one overrides it, with a warning when
-    they differ. alpha and temperature are always the stats' own.
+    A merging method runs a fixed schedule of r merges per layer when r
+    is given, and otherwise the calibrated stats as an adaptive one;
+    stats must have been calibrated with the method's salience setting.
+    An r_max left at None is the stats' own; a given one overrides it,
+    with a warning when they differ, and is an error next to r. alpha and temperature are always
+    the stats' own. `stats_path` names the stats in errors.
     """
-    salience, kind = method_knobs(method)
-    if kind is None:
+    salience = method_salience(method)
+    if method == "none":
         if r is not None or r_max is not None:
             raise ValueError(
                 f"method {method} runs no merge step, so it takes neither r "
                 f"nor r_max (got r={r}, r_max={r_max})")
         return RunConfig(salience=salience, schedule=None)
     if r is not None:
+        if r_max is not None:
+            raise ValueError(
+                f"method {method} takes r for a fixed schedule or r_max for an "
+                f"adaptive one, not both (got r={r}, r_max={r_max})")
         return RunConfig(salience=salience, schedule=r, track_maps=track_maps)
-    if kind == "fixed":
-        raise ValueError(f"method {method} needs --r (fixed merge count)")
     if stats is None:
         raise ValueError(
-            f"method {method} needs calibrated stats; run `adamerge "
-            "calibrate` first or pass --r for a fixed schedule")
+            f"method {method} needs --r for a fixed schedule or --stats for "
+            f"an adaptive one; `adamerge calibrate --method {method}` writes "
+            "the stats")
     sched = stats if r_max is None else dataclasses.replace(stats, r_max=r_max)
     if sched.r_max != stats.r_max:
         print(f"warning: r_max={r_max} differs from the stats' "
               f"r_max={stats.r_max}", file=sys.stderr)
-    return RunConfig(salience=salience, schedule=sched, track_maps=track_maps)
+    try:
+        return RunConfig(salience=salience, schedule=sched, track_maps=track_maps)
+    except ValueError as e:  # the stats' salience is not the method's
+        raise ValueError(
+            f"{stats_path or 'stats'}: {e} (method {method}); run `adamerge "
+            f"calibrate --method {method}` for stats of this method") from None
 
 
 def _load_inputs(args):
@@ -140,14 +145,14 @@ def cmd_synth_weights(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    salience, kind = method_knobs(args.method)
-    if kind is None:
+    if args.method == "none":
         raise ValueError(
             f"method {args.method!r} runs no merge step, so it has no "
             "redundancy statistics to calibrate")
     weights, images, _ = _load_inputs(args)
     stats = calibration.refine(weights, images, args.r_max, alpha=args.alpha,
-                               passes=args.passes, salience=salience)
+                               passes=args.passes,
+                               salience=method_salience(args.method))
     calibration.save_stats(stats, args.out)
     print(f"calibrated {stats.num_layers} layers on {stats.calibration_size} "
           f"images ({stats.passes} passes) -> {args.out}")
@@ -172,7 +177,8 @@ def _load_stats(path, weights):
 def _cfg_from_args(args, weights, track_maps=False):
     stats = _load_stats(args.stats, weights)
     return build_run_config(args.method, r=args.r, r_max=args.r_max,
-                            stats=stats, track_maps=track_maps)
+                            stats=stats, stats_path=args.stats,
+                            track_maps=track_maps)
 
 
 def _measure(weights, images, cfg, labels):
@@ -221,7 +227,7 @@ def cmd_run(args) -> int:
 def parse_config_spec(spec: str):
     """Parse 'method:key=val,key=val' comparison configs."""
     method, _, rest = spec.partition(":")
-    method_knobs(method)
+    method_salience(method)
     opts = {}
     if rest:
         for kv in rest.split(","):
@@ -246,7 +252,8 @@ def cmd_compare(args) -> int:
     series = {}
     for spec in args.config:
         method, opts = parse_config_spec(spec)
-        cfg = build_run_config(method, stats=stats, **opts)
+        cfg = build_run_config(method, stats=stats, stats_path=args.stats,
+                               **opts)
         _, row = _measure(weights, images, cfg, labels)
         rows.append({"config": spec, "method": method, **row})
         series.setdefault(method, []).append((row["flops_g"], row["mean_merges"]))
@@ -297,7 +304,8 @@ def _add_schedule_flags(p):
                    help="fixed per-layer merge count")
     p.add_argument("--r-max", type=int, default=None,
                    help="adaptive-schedule budget (default: the stats' r_max)")
-    p.add_argument("--stats", default=None, help="stats.json path")
+    p.add_argument("--stats", default=None,
+                   help="stats.json of the adaptive schedule, used without --r")
 
 
 def make_parser() -> _Parser:

@@ -141,7 +141,8 @@ class RunConfig:
     """salience: weight the matching scores and aggregate merges by
     salience (else plain cosine scores and size-weighted means).
     schedule: None runs no merge step; an int merges that many tokens per
-    layer; calibrated LayerStats pick r per layer and input."""
+    layer; calibrated LayerStats, fitted under the same salience setting,
+    pick r per layer and input."""
     salience: bool = True
     schedule: int | LayerStats | None = 0
     track_maps: bool = False
@@ -150,6 +151,11 @@ class RunConfig:
         if isinstance(self.schedule, (int, np.integer)) and self.schedule < 0:
             raise ValueError(
                 f"fixed merge count r must be >= 0, got r={self.schedule}")
+        if isinstance(self.schedule, LayerStats) and \
+                self.schedule.salience != self.salience:
+            raise ValueError(
+                f"stats were calibrated with salience={self.schedule.salience}, "
+                f"but the run has salience={self.salience}")
 
 
 def _digest(v: np.ndarray) -> str:
@@ -291,17 +297,15 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
                           weights, cfg) for img in images]
 
 
-def _weight_shapes(dims: ModelDims) -> dict:
-    """Archive name -> shape of every tensor of a model, in archive order."""
+def _weight_shapes(dims: ModelDims):
+    """(archive name, shape) of every tensor of a model, in archive order."""
     size = {"d": dims.d, "3d": 3 * dims.d, "d_ff": dims.d_ff,
             "n_classes": dims.n_classes}
-    shapes = {}
     for l in range(dims.layers):
         for name, dim_names in BLOCK_LAYOUT.items():
-            shapes[f"block{l:02d}.{name}"] = tuple(size[k] for k in dim_names)
+            yield f"block{l:02d}.{name}", tuple(size[k] for k in dim_names)
     for name, (_, dim_names) in HEAD_LAYOUT.items():
-        shapes[name] = tuple(size[k] for k in dim_names)
-    return shapes
+        yield name, tuple(size[k] for k in dim_names)
 
 
 def _assemble(dims: ModelDims, tensors: dict, model_id: str) -> ModelWeights:
@@ -316,7 +320,7 @@ def synth_weights(seed: int, dims: ModelDims) -> ModelWeights:
     """Seed-deterministic gaussian init (std 0.02, zero biases, unit LN)."""
     rng = np.random.default_rng(seed)
     tensors = {}
-    for name, shape in _weight_shapes(dims).items():
+    for name, shape in _weight_shapes(dims):
         fld = HEAD_LAYOUT[name][0] if name in HEAD_LAYOUT else name.partition(".")[2]
         if fld.startswith("w_"):
             tensors[name] = rng.normal(0.0, 0.02, size=shape).astype(DTYPE)
@@ -346,14 +350,23 @@ def load_weights(path: str) -> ModelWeights:
         dims = ModelDims(**{f.name: meta[f.name] for f in fields(ModelDims)})
     except (KeyError, ValueError) as e:
         raise archive.ArchiveError(f"archive at {path}: bad model meta ({e})") from e
-    shapes = _weight_shapes(dims)
+    # count before listing names: the listing of a meta that claims 10**6
+    # layers would outgrow any manifest. Short of the count, the first
+    # missing name is among the first len(tensors) + 1.
+    want = len(BLOCK_LAYOUT) * dims.layers + len(HEAD_LAYOUT)
+    if len(tensors) < want:
+        missing = next(name for name, _ in _weight_shapes(dims)
+                       if name not in tensors)
+        raise archive.ArchiveError(
+            f"archive at {path}: missing tensor {missing}; the meta describes "
+            f"a {dims.layers}-layer model of {want} tensors, the manifest "
+            f"holds {len(tensors)}")
+    shapes = dict(_weight_shapes(dims))  # no longer than the manifest
     extra = next((name for name in tensors if name not in shapes), None)
     if extra is not None:
         raise archive.ArchiveError(f"archive at {path}: unexpected tensor {extra}; "
                                    f"the meta describes a {dims.layers}-layer model")
-    for name, shape in shapes.items():
-        if name not in tensors:
-            raise archive.ArchiveError(f"archive at {path}: missing tensor {name}")
+    for name, shape in shapes.items():  # each one is in `tensors`
         if tensors[name].shape != shape:
             raise archive.ArchiveError(f"archive at {path}: tensor {name}: shape "
                                        f"{tensors[name].shape}, expected {shape}")

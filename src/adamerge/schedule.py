@@ -45,7 +45,9 @@ def check_schedule(r_max, alpha, temperature) -> None:
 @dataclass
 class LayerStats:
     """Calibrated per-layer (mu, sigma) of the redundancy proxy, and the
-    adaptive schedule that reads them."""
+    adaptive schedule that reads them. The proxy depends on the scores,
+    so the stats hold only for runs with the salience setting they were
+    calibrated with."""
     model_id: str
     mu: np.ndarray
     sigma: np.ndarray
@@ -54,9 +56,13 @@ class LayerStats:
     temperature: float  # z <- z / T; smaller T sharpens the decision
     passes: int
     calibration_size: int
+    salience: bool = True  # the run setting the proxies were collected under
 
     def __post_init__(self):
         check_schedule(self.r_max, self.alpha, self.temperature)
+        if not isinstance(self.salience, bool):
+            raise ValueError(f"salience must be true or false, got "
+                             f"salience={self.salience!r}")
         for name in ("passes", "calibration_size"):
             v = getattr(self, name)
             if not _is_int(v) or v < 1:

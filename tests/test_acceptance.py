@@ -11,7 +11,7 @@ import pytest
 
 import naive_reference as ref
 from adamerge import calibration, data
-from adamerge.cli import main, method_knobs
+from adamerge.cli import main, method_salience
 from adamerge.flops import fixed_schedule_lengths, model_flops
 from adamerge.matcher import reconstruction_gap, select_merges
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
@@ -26,8 +26,8 @@ def ok(n, msg):
 
 
 def fixed_cfg(method, r):
-    salience, kind = method_knobs(method)
-    return RunConfig(salience=salience, schedule=None if kind is None else r)
+    return RunConfig(salience=method_salience(method),
+                     schedule=None if method == "none" else r)
 
 
 def test_criterion_1_table1_flops_reduction():
@@ -136,11 +136,11 @@ def test_criterion_4_conservation_ledger():
     dims = ModelDims(d=16, heads=2, d_ff=32, layers=6, n_classes=5)
     w = synth_weights(44, dims)
     images = data.synth_images(8, 30, 16, 0.5, seed=44)
-    stats = calibration.refine(w, images, r_max=6, passes=2)
     configs = [fixed_cfg("none", 0), fixed_cfg("tome", 3),
-               fixed_cfg("adamerge", 3), fixed_cfg("sw-only", 2),
-               RunConfig(salience=True, schedule=stats),
-               RunConfig(salience=False, schedule=stats),
+               fixed_cfg("adamerge", 3), fixed_cfg("adamerge", 2),
+               *(RunConfig(salience=salience, schedule=calibration.refine(
+                   w, images, r_max=6, passes=2, salience=salience))
+                 for salience in (True, False)),
                # salience off, computed for the map only
                RunConfig(salience=False, schedule=3, track_maps=True)]
     runs = 0

@@ -48,20 +48,22 @@ class TestCollectPass:
 class TestFitStats:
     def test_two_point(self):
         stats = calibration.fit_stats(np.array([[0.4, 0.6]]), model_id="t",
-                                      r_max=4, alpha=1.0, passes=1)
+                                      r_max=4, alpha=1.0, passes=1,
+                                      salience=True)
         assert stats.mu[0] == pytest.approx(0.5)
         assert stats.sigma[0] == pytest.approx(0.1)
 
     def test_constant_samples_floored(self):
         stats = calibration.fit_stats(np.full((2, 5), 0.3), model_id="t",
-                                      r_max=4, alpha=1.0, passes=1)
+                                      r_max=4, alpha=1.0, passes=1,
+                                      salience=True)
         assert np.all(stats.sigma == SIGMA_FLOOR)
 
     def test_against_textbook_formula(self):
         rng = np.random.default_rng(5)
         samples = rng.uniform(0, 1, size=(1, 100))
         stats = calibration.fit_stats(samples, model_id="t", r_max=4,
-                                      alpha=1.0, passes=1)
+                                      alpha=1.0, passes=1, salience=True)
         n = samples.shape[1]
         mean = samples.sum() / n
         var = sum((v - mean) ** 2 for v in samples[0]) / n
@@ -74,7 +76,8 @@ class TestRefine:
         stats = calibration.refine(small_model, cal_images, r_max=6, passes=1)
         samples = calibration.collect_pass(small_model, cal_images, BOOTSTRAP)
         want = calibration.fit_stats(samples, model_id=small_model.model_id,
-                                     r_max=6, alpha=1.0, passes=1)
+                                     r_max=6, alpha=1.0, passes=1,
+                                     salience=True)
         assert np.array_equal(stats.mu, want.mu)
         assert np.array_equal(stats.sigma, want.sigma)
 
@@ -106,10 +109,10 @@ class TestRefine:
     # pinned stats.json bytes of refine(r_max=6, passes=2) at each
     # salience setting
     @pytest.mark.parametrize("salience,digest", [
-        (True, "2e2b9277c2bde4e898dc2eb3a29626ea"
-               "e587b4d91146bf6d98e1f88855c7ce29"),
-        (False, "01322a77e94b9671174f0e60697b21a9"
-                "804c11b54adb3a1e31b772215007668b")], ids=["on", "off"])
+        (True, "42fa56fa032e6e50c1e2a1d7ed3d4ebe"
+               "bb23b816b124217578df93dc7d22b4fe"),
+        (False, "234f7e828e8c85380fbbf59f07f6be4e"
+                "9eb6beabe1e91ed0b5a85be8a50bc38f")], ids=["on", "off"])
     def test_two_pass_bytes_are_pinned(self, small_model, cal_images,
                                        tmp_path, salience, digest):
         p = tmp_path / "stats.json"
@@ -151,12 +154,12 @@ class TestPersistence:
         p = tmp_path / "stats.json"
         calibration.save_stats(self.make_stats(), p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == \
-            "194423ffde8ae4b9f2fb18b1e514205fc0c699617ef074b6ec130ca8ac336775"
+            "9a4b92c010eb86059afa1b2329cab65367a306fe22ffdedced7ea510c5ae7f3c"
 
     def test_golden_fixture(self, tmp_path):
-        doc = {"version": 1, "model_id": "vit-b16-test", "num_layers": 12,
+        doc = {"version": 2, "model_id": "vit-b16-test", "num_layers": 12,
                "r_max": 23, "alpha": 1.0, "temperature": 0.5, "passes": 2,
-               "calibration_size": 128,
+               "calibration_size": 128, "salience": False,
                "mu": [0.1 * (i + 1) for i in range(12)],
                "sigma": [0.01] * 12}
         p = tmp_path / "golden.json"
@@ -165,11 +168,13 @@ class TestPersistence:
         assert stats.num_layers == 12
         assert stats.model_id == "vit-b16-test"
         assert stats.temperature == 0.5
+        assert stats.salience is False
 
     def _corrupt(self, tmp_path, **patch):
-        doc = {"version": 1, "model_id": "m", "num_layers": 2, "r_max": 4,
+        doc = {"version": 2, "model_id": "m", "num_layers": 2, "r_max": 4,
                "alpha": 1.0, "temperature": 1.0, "passes": 2,
-               "calibration_size": 8, "mu": [0.1, 0.2], "sigma": [0.1, 0.1]}
+               "calibration_size": 8, "salience": True, "mu": [0.1, 0.2],
+               "sigma": [0.1, 0.1]}
         doc.update(patch)
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
@@ -219,6 +224,7 @@ class TestOnePath:
     def test_samples_are_run_images_sbar(self, small_model, cal_images, salience):
         stats = calibration.refine(small_model, cal_images, r_max=6, passes=1,
                                    salience=salience)
+        assert stats.salience is salience
         for cfg in (RunConfig(salience=salience, schedule=3),
                     RunConfig(salience=salience, schedule=stats)):
             samples = calibration.collect_pass(small_model, cal_images, cfg)

@@ -5,13 +5,14 @@ import math
 import os
 import re
 import shutil
+import time
 
 import numpy as np
 import pytest
 
 from adamerge import calibration, data, flops
 from adamerge.archive import save_archive
-from adamerge.cli import build_run_config, main, method_knobs, parse_config_spec
+from adamerge.cli import build_run_config, main, method_salience, parse_config_spec
 from adamerge.runtime import load_weights, run_images
 
 
@@ -111,7 +112,8 @@ class TestSynth:
 class TestCalibrate:
     def test_stats_schema(self, workspace):
         doc = json.loads(open(workspace["stats"]).read())
-        assert doc["version"] == 1
+        assert doc["version"] == 2
+        assert doc["salience"] is True  # calibrated for adamerge, the default
         assert doc["num_layers"] == 4
         assert len(doc["mu"]) == 4 and len(doc["sigma"]) == 4
         assert all(s > 0 for s in doc["sigma"])
@@ -220,14 +222,14 @@ class TestCompare:
                      "--dataset", workspace["dataset"],
                      "--config", "tome:r=3",
                      "--config", "adamerge:r_max=6",
-                     "--config", "sw-only:r=3",
-                     "--config", "adp-only:r_max=6",
+                     "--config", "adamerge:r=3",
+                     "--config", "adamerge:r_max=4",
                      "--stats", workspace["stats"],
                      "--out-csv", out_csv, "--out-svg", out_svg])
         assert code == 0
         rows = list(csv.DictReader(open(out_csv)))
         assert [r["config"] for r in rows] == \
-            ["tome:r=3", "adamerge:r_max=6", "sw-only:r=3", "adp-only:r_max=6"]
+            ["tome:r=3", "adamerge:r_max=6", "adamerge:r=3", "adamerge:r_max=4"]
         assert list(rows[0]) == ["config", "method", "flops_g",
                                  "flops_reduction_pct", "overhead_g",
                                  "mean_merges", "accuracy", "wall_time_s"]
@@ -256,7 +258,7 @@ class TestCompare:
     def test_unknown_method_has_the_alias_table_message(self, workspace,
                                                         capsys):
         with pytest.raises(ValueError) as alias_error:
-            method_knobs("bogus")
+            method_salience("bogus")
         assert main(["compare", "--weights", workspace["weights"],
                      "--dataset", workspace["dataset"],
                      "--config", "bogus:r=3"]) == 2
@@ -482,6 +484,8 @@ class TestRejectedSchedules:
         ("r_max", -3, "r_max must be an integer >= 0"),
         ("r_max", 2.5, "r_max must be an integer >= 0"),
         ("r_max", True, "r_max must be an integer >= 0"),
+        ("salience", 1, "salience must be true or false, got salience=1"),
+        ("salience", None, "salience must be true or false"),
         ("passes", "two", "passes must be an integer >= 1"),
         ("calibration_size", -1, "calibration_size must be an integer >= 1")])
     def test_bad_schedule_field_in_stats_is_data_error(
@@ -689,21 +693,119 @@ class TestScheduleFromStats:
             self.run_csv(workspace, tmp_path, "float", **{field: float(value)})
 
 
-class TestAliases:
-    @pytest.mark.parametrize("alias,base", [("adamerge", "sw-only"),
-                                            ("adp-only", "tome")])
-    @pytest.mark.parametrize("r", [0, 3])
-    def test_fixed_r_alias_is_the_same_run(self, workspace, alias, base, r):
-        a = build_run_config(alias, r=r)
-        b = build_run_config(base, r=r)
-        assert a == b
-        weights = load_weights(workspace["weights"])
-        images, _ = data.load_dataset(workspace["dataset"])
-        for (la, ta), (lb, tb) in zip(run_images(weights, images, a),
-                                      run_images(weights, images, b)):
-            assert la.tobytes() == lb.tobytes()
-            assert [(rec.r, rec.edges, rec.sbar) for rec in ta.layers] == \
-                [(rec.r, rec.edges, rec.sbar) for rec in tb.layers]
+@pytest.fixture(scope="module")
+def tome_stats(workspace):
+    """Stats calibrated for tome (salience off) on the workspace."""
+    path = str(workspace["root"] / "tome.json")
+    assert main(["calibrate", "--weights", workspace["weights"], "--dataset",
+                 workspace["dataset"], "--r-max", "6", "--passes", "2",
+                 "--method", "tome", "--out", path]) == 0
+    return path
+
+
+class TestOneSpellingPerRun:
+    # the method name sets salience; --r or --stats sets the schedule
+    @pytest.mark.parametrize("command", ["run", "viz", "calibrate"])
+    @pytest.mark.parametrize("method", ["sw-only", "adp-only"])
+    def test_removed_method_name_is_usage_error(self, workspace, tmp_path,
+                                                capsys, command, method):
+        out = tmp_path / "out"
+        extra = (["--r-max", "6", "--out", str(out)] if command == "calibrate"
+                 else ["--r", "3"])
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", method, *extra]) == 1
+        assert f"invalid choice: '{method}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["sw-only:r=3", "adp-only:r_max=6"])
+    def test_removed_method_name_in_a_config_is_unknown(self, workspace, capsys,
+                                                        spec):
+        with pytest.raises(ValueError) as unknown:
+            method_salience(spec.partition(":")[0])
+        assert main(["compare", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--stats", workspace["stats"],
+                     "--config", spec]) == 2
+        assert capsys.readouterr().err == f"error: {unknown.value}\n"
+
+    @pytest.mark.parametrize("command", ["run", "viz", "compare"])
+    @pytest.mark.parametrize("method", ["tome", "adamerge"])
+    def test_merging_method_needs_r_or_stats(self, workspace, capsys, command,
+                                             method):
+        argv = ["--config" if command == "compare" else "--method", method]
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: method {method} needs --r for a fixed schedule or --stats "
+            f"for an adaptive one; `adamerge calibrate --method {method}` "
+            "writes the stats\n")
+
+
+    @pytest.mark.parametrize("command", ["run", "viz", "compare"])
+    def test_r_and_r_max_together_are_data_error(self, workspace, capsys,
+                                                 command):
+        # r_max is the budget of an adaptive schedule; r runs a fixed one
+        argv = (["--config", "adamerge:r=3,r_max=6"] if command == "compare"
+                else ["--method", "adamerge", "--r", "3", "--r-max", "6"])
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--stats", workspace["stats"],
+                     *argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: method adamerge takes r for a fixed schedule or r_max for "
+            "an adaptive one, not both (got r=3, r_max=6)\n")
+
+
+class TestSalienceOfStats:
+    def test_calibrate_records_the_method_salience(self, workspace, tome_stats):
+        docs = [json.loads(open(p).read()) for p in (workspace["stats"], tome_stats)]
+        assert [doc["salience"] for doc in docs] == [True, False]
+
+    # SHA-256 of the CSV of an adaptive run with salience off on this
+    # workspace, as written before the method names were reduced to
+    # salience settings (then spelled `calibrate --method adp-only` and
+    # `run --method adp-only --stats`)
+    SALIENCE_OFF_ADAPTIVE_CSV = \
+        "c0672a0f6d9c07ed393f7db858bc465bdd98a1407a19f25a11bef3244eab0f2a"
+
+    def test_tome_on_tome_stats_keeps_its_bytes(self, workspace, tome_stats,
+                                                tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "tome", "--stats",
+                     tome_stats, "--out-csv", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            self.SALIENCE_OFF_ADAPTIVE_CSV
+
+    @pytest.mark.parametrize("command", ["run", "viz", "compare"])
+    @pytest.mark.parametrize("method,calibrated_with", [("tome", True),
+                                                        ("adamerge", False)])
+    def test_mismatch_is_data_error_naming_the_file(
+            self, workspace, tome_stats, capsys, command, method,
+            calibrated_with):
+        stats = workspace["stats"] if calibrated_with else tome_stats
+        argv = ["--config" if command == "compare" else "--method", method]
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], *argv, "--stats", stats]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stats}: stats were calibrated with "
+            f"salience={calibrated_with}, but the run has "
+            f"salience={not calibrated_with} (method {method}); run `adamerge "
+            f"calibrate --method {method}` for stats of this method\n")
+
+    @pytest.mark.parametrize("version", [True, 1, 2.0, "2"],
+                             ids=["true", "1", "2.0", "str-2"])
+    def test_version_must_be_the_integer_2(self, workspace, tmp_path, capsys,
+                                           version):
+        # 1 is a file written before the stats recorded their salience
+        doc = json.loads(open(workspace["stats"]).read())
+        doc["version"] = version
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge", "--stats",
+                     str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: unsupported stats version {version!r} (this build "
+            "reads version 2; re-run `adamerge calibrate`)\n")
 
 
 class TestRejectedArchives:
@@ -735,6 +837,26 @@ class TestRejectedArchives:
         assert capsys.readouterr().err == (
             f"error: archive at {paths[which]}: tensor {name}: unsupported "
             "dtype f64\n")
+
+    @pytest.mark.parametrize("layers", [10**6, 2**70, 10**400],
+                             ids=["10**6", "2**70", "10**400"])
+    def test_meta_claiming_more_layers_fails_at_once(self, workspace, tmp_path,
+                                                     capsys, layers):
+        # the 52 tensors of 4 layers are counted against 12 * layers + 4
+        # before any tensor name of the claimed model is listed
+        bad = str(shutil.copytree(workspace["weights"], tmp_path / "weights"))
+        man = tmp_path / "weights" / "manifest.json"
+        doc = json.loads(man.read_text())
+        doc["meta"]["layers"] = layers
+        man.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["run", "--weights", bad, "--dataset", workspace["dataset"],
+                     "--method", "none"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            f"error: archive at {bad}: missing tensor block04.ln1_gamma; the "
+            f"meta describes a {layers}-layer model of {12 * layers + 4} "
+            "tensors, the manifest holds 52\n")
 
     @staticmethod
     def run_with_bad_json(workspace, tmp_path, kind, content):

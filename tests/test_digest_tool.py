@@ -20,18 +20,19 @@ def test_cli_output_repeats_byte_for_byte():
     first = digest("--cli")
     assert first == digest("--cli")
     labels = [line.split(" sha256=")[0] for line in first.decode().splitlines()]
-    # manifest + blob of 2 synth archives; stats.json of the 4 merging
-    # aliases; csv + stdout of 2 runs; csv of 1 run on the stats'
+    # manifest + blob of 2 synth archives; stats.json of the 2 merging
+    # methods; csv + stdout of 2 runs; csv of 1 run on the stats'
     # schedule; compare csv + svg; svg + csv of 2 viz maps
-    assert len(labels) == len(set(labels)) == 2 * 2 + 4 + 2 * 2 + 1 + 2 + 2 * 2
+    assert len(labels) == len(set(labels)) == 2 * 2 + 2 + 2 * 2 + 1 + 2 + 2 * 2
 
 
 def test_output_repeats_byte_for_byte():
     first = digest()
     assert first == digest()
     lines = first.decode().splitlines()
-    # none, then 3 fixed r (+ adaptive for adamerge/adp-only) x maps off/on
-    assert len(lines) == 2 * (1 + 2 * 3 + 2 * 3 + 2 * 4 + 2 * 4)
+    # per image: none, then tome and adamerge at 3 fixed r and adaptive,
+    # x maps off/on
+    assert len(lines) == 2 * (1 + 2 * (2 * 4))
 
 
 def test_skip_leaves_fields_out_of_the_trace_digest():
@@ -44,5 +45,5 @@ def test_skip_leaves_fields_out_of_the_trace_digest():
         model, label, image, rest = line.split(" ", 3)
         by_label[label, image] = rest
     for (label, image), rest in by_label.items():
-        if label.startswith(("tome:", "adp-only:")) and label.endswith(":maps=0"):
+        if label.startswith("tome:") and label.endswith(":maps=0"):
             assert by_label[label[:-1] + "1", image] == rest, label

@@ -4,7 +4,7 @@ import pytest
 from adamerge import data
 from adamerge.flops import (block_flops, fixed_schedule_lengths,
                             merge_overhead_flops, model_flops, trace_flops)
-from adamerge.cli import method_knobs
+from adamerge.cli import method_salience
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
                               forward_model, synth_weights)
 
@@ -40,8 +40,8 @@ class TestTraceFlops:
         w = synth_weights(1, dims)
         img = data.synth_images(1, 196, 16, 0.4, seed=3)[0]
         seq = TokenSequence(cls=np.zeros(16, np.float32), patches=img)
-        salience, kind = method_knobs(method)
-        cfg = RunConfig(salience=salience, schedule=None if kind is None else r)
+        cfg = RunConfig(salience=method_salience(method),
+                        schedule=None if method == "none" else r)
         _, trace = forward_model(seq, w, cfg)
         return trace, dims
 
@@ -60,7 +60,7 @@ class TestTraceFlops:
 
     def test_overhead_counted_once_per_layer(self):
         # scoring on every layer; the affinity only where salience ran
-        for method, salience in (("tome", False), ("sw-only", True)):
+        for method, salience in (("tome", False), ("adamerge", True)):
             trace, dims = self.run_trace(method, 8)
             rep = trace_flops(trace, dims)
             want = sum(merge_overhead_flops(rec.n_before, dims.d, salience)

@@ -1,10 +1,13 @@
-# Every stats.json that differs from a calibrated one in one leaf must
+# Every input file that differs from a valid one in one JSON leaf (a
+# stats.json, or the manifest.json of the weights or of the dataset) must
 # either run or exit 2 with an error that names the file: never a
 # traceback, never exit 1 (the code for a usage error).
 
 import contextlib
 import io
 import json
+import os
+import shutil
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -34,40 +37,65 @@ def workspace(tmp_path_factory):
     return paths
 
 
-def leaves(doc):
-    """(key, index or None) of every scalar in a stats document."""
-    for key, value in doc.items():
-        if isinstance(value, list):
-            yield from ((key, i) for i in range(len(value)))
+def leaves(doc, path=()):
+    """Path (keys and list indices) of every scalar in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, path + (key,))
         else:
-            yield key, None
+            yield path + (key,)
 
 
-def test_one_bad_stats_leaf_runs_or_names_the_file(workspace):
-    with open(workspace["stats.json"], encoding="utf-8") as f:
+def fuzz(source, bad, argv, name, max_examples, must_fail=lambda path, v: False):
+    """Run `argv` on the JSON file `bad`: `source` with one leaf replaced.
+    An error must name `name`; a case where `must_fail` holds must exit 2."""
+    with open(source, encoding="utf-8") as f:
         doc = json.load(f)
 
-    @settings(max_examples=300)
+    @settings(max_examples=max_examples)
     @given(st.sampled_from(sorted(leaves(doc), key=str)),
            st.sampled_from(VALUES))
-    def case(leaf, value):
-        bad = json.loads(json.dumps(doc))
-        key, i = leaf
-        if i is None:
-            bad[key] = value
-        else:
-            bad[key][i] = value
-        with open(workspace["bad"], "w", encoding="utf-8") as f:
-            json.dump(bad, f)
+    def case(path, value):
+        edited = json.loads(json.dumps(doc))
+        parent = edited
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with open(bad, "w", encoding="utf-8") as f:
+            json.dump(edited, f)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = main(["run", "--weights", workspace["weights"],
-                         "--dataset", workspace["data"], "--method",
-                         "adamerge", "--stats", workspace["bad"]])
-        assert code in (0, 2), (leaf, value, err.getvalue())
+            code = main(argv)
+        assert code in ((2,) if must_fail(path, value) else (0, 2)), \
+            (path, value, err.getvalue())
         if code == 2:
             assert err.getvalue().startswith("error: ") and \
-                workspace["bad"] in err.getvalue(), (leaf, value, err.getvalue())
+                name in err.getvalue(), (path, value, err.getvalue())
 
     case()
+
+
+def test_one_bad_stats_leaf_runs_or_names_the_file(workspace):
+    # no replacement is the integer version 2, and the adamerge run needs
+    # stats calibrated with salience true
+    def must_fail(path, value):
+        return path == ("version",) or (path == ("salience",) and value is not True)
+
+    fuzz(workspace["stats.json"], workspace["bad"],
+         ["run", "--weights", workspace["weights"], "--dataset",
+          workspace["data"], "--method", "adamerge", "--stats",
+          workspace["bad"]], workspace["bad"], 300, must_fail)
+
+
+@pytest.mark.parametrize("which,max_examples", [("weights", 150), ("data", 60)])
+def test_one_bad_manifest_leaf_runs_or_names_the_archive(workspace, tmp_path,
+                                                         which, max_examples):
+    paths = {k: workspace[k] for k in ("weights", "data")}
+    paths[which] = str(shutil.copytree(workspace[which], tmp_path / which))
+    fuzz(os.path.join(workspace[which], "manifest.json"),
+         os.path.join(paths[which], "manifest.json"),
+         ["run", "--weights", paths["weights"], "--dataset", paths["data"],
+          "--method", "tome", "--r", "2"], f"archive at {paths[which]}",
+         max_examples)

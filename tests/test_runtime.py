@@ -8,7 +8,7 @@ import pytest
 import naive_reference as ref
 from adamerge import calibration, data
 from adamerge.archive import ArchiveError
-from adamerge.cli import method_knobs
+from adamerge.cli import method_salience
 from adamerge.runtime import (BlockWeights, ModelDims, RunConfig,
                               TokenSequence, forward_block, forward_model,
                               load_weights, save_weights, synth_weights)
@@ -28,8 +28,8 @@ def zero_block(d, d_ff):
 
 
 def fixed_cfg(method, r):
-    salience, kind = method_knobs(method)
-    return RunConfig(salience=salience, schedule=None if kind is None else r)
+    return RunConfig(salience=method_salience(method),
+                     schedule=None if method == "none" else r)
 
 
 class TestForwardBlock:
@@ -77,10 +77,11 @@ def make_seq(image, d=16):
                         patches=np.asarray(image, dtype=np.float32))
 
 
-def flat_stats(model):
+def flat_stats(model, salience=True):
     return LayerStats(model_id=model.model_id, mu=np.zeros(4),
                       sigma=np.full(4, 0.1), r_max=6, alpha=1.0,
-                      temperature=1.0, passes=1, calibration_size=1)
+                      temperature=1.0, passes=1, calibration_size=1,
+                      salience=salience)
 
 
 class TestForwardModel:
@@ -114,7 +115,8 @@ class TestForwardModel:
                                               small, r_small):
         stats = LayerStats(model_id=model.model_id, mu=np.full(4, -10.0),
                            sigma=np.ones(4), r_max=200, alpha=1.0,
-                           temperature=1.0, passes=1, calibration_size=1)
+                           temperature=1.0, passes=1, calibration_size=1,
+                           salience=False)
 
         def schedule(r):  # a fixed r, or the stats with r_max = r
             return dataclasses.replace(stats, r_max=r) if adaptive else r
@@ -173,6 +175,14 @@ class TestForwardModel:
             RunConfig(salience=False, schedule=-1)
         assert RunConfig(salience=False, schedule=0).schedule == 0
 
+    @pytest.mark.parametrize("salience", [True, False])
+    def test_stats_of_the_other_salience_rejected(self, model, salience):
+        with pytest.raises(ValueError, match=re.escape(
+                f"stats were calibrated with salience={not salience}, but the "
+                f"run has salience={salience}")):
+            RunConfig(salience=salience,
+                      schedule=flat_stats(model, salience=not salience))
+
     def test_adaptive_rerun_identical(self, model):
         images = data.synth_images(6, 24, 16, 0.5, seed=7)
         stats = calibration.refine(model, images, r_max=6, passes=2)
@@ -225,12 +235,14 @@ class TestSalienceOnlyWhenRead:
         (True, "adaptive", False, 1),
         (False, 3, True, 1),
         (False, "adaptive", True, 1)],
+        # an id names the (salience, schedule) pair: adp-only is salience
+        # off with adaptive stats, sw-only salience on with a fixed r
         ids=["none", "tome", "adp-only", "sw-only", "adamerge",
              "tome-maps", "adp-only-maps"])
     def test_calls_per_layer(self, model, image, calls, salience, schedule,
                              track_maps, per_layer):
         if schedule == "adaptive":
-            schedule = flat_stats(model)
+            schedule = flat_stats(model, salience)
         cfg = RunConfig(salience=salience, schedule=schedule,
                         track_maps=track_maps)
         _, trace = forward_model(make_seq(image), model, cfg)
@@ -242,7 +254,7 @@ class TestSalienceOnlyWhenRead:
                              ids=["fixed", "adaptive"])
     def test_maps_leave_a_salience_off_run_unchanged(self, model, schedule):
         if schedule == "adaptive":
-            schedule = flat_stats(model)
+            schedule = flat_stats(model, salience=False)
 
         def run(img, track_maps):
             return forward_model(make_seq(img), model, RunConfig(

@@ -11,16 +11,16 @@ lines compute the same runs bit for bit:
     diff a.txt b.txt
 
 The grid: a d=16 model with zero biases and a d=64 model with non-zero
-biases and LN betas; the five method aliases at fixed r = 0, 3 and an r
-above |A|, and the two adaptive ones also against stats calibrated on
-the same images; each with track_maps off and on. `--skip FIELD` leaves
-a record field out of the trace digest, for a change meant to alter
-only that field.
+biases and LN betas; `none`, and `tome` and `adamerge` at fixed r = 0, 3
+and an r above |A| and on the adaptive schedule of stats calibrated on
+the same images with their own salience setting; each merging run with
+track_maps off and on. `--skip FIELD` leaves a record field out of the
+trace digest, for a change meant to alter only that field.
 
 `--cli` prints instead one digest per output file of the `adamerge`
 commands on a d=16 workspace built in a temporary directory: the
 manifest.json and tensors.bin of `synth-weights` and `synth`, the
-`calibrate` stats.json of each merging alias, the `run` CSVs and
+`calibrate` stats.json of `tome` and `adamerge`, the `run` CSVs and
 stdout, the CSV of an adaptive `run` on stats calibrated with
 `--alpha 2` (a run takes alpha only from its stats), the `compare` CSV
 and SVG, and the `viz` SVG and CSV. Wall times are left out: the `run`
@@ -65,19 +65,19 @@ def make_model(name, n_images):
 
 
 def configs(stats):
-    """(label, RunConfig) for every alias, schedule and track_maps."""
-    for method, (_, kind) in METHOD_ALIASES.items():
-        if kind is None:
+    """(label, RunConfig) for every method, schedule and track_maps;
+    `stats` maps a salience setting to stats calibrated with it."""
+    for method, salience in METHOD_ALIASES.items():
+        if method == "none":
             yield method, build_run_config(method)
             continue
         for maps in (False, True):
             for r in FIXED_R:
                 yield (f"{method}:r={r}:maps={int(maps)}",
                        build_run_config(method, r=r, track_maps=maps))
-            if kind == "adaptive":
-                yield (f"{method}:r_max={R_MAX}:maps={int(maps)}",
-                       build_run_config(method, r_max=R_MAX, stats=stats,
-                                        track_maps=maps))
+            yield (f"{method}:r_max={R_MAX}:maps={int(maps)}",
+                   build_run_config(method, r_max=R_MAX, stats=stats[salience],
+                                    track_maps=maps))
 
 
 def trace_digest(trace, skip):
@@ -123,11 +123,10 @@ def cli_digests():
                 yield f"{label} {fname}", sha256(read(os.path.join(name, fname)))
         inputs = ("--weights", path("weights"), "--dataset", path("data"))
 
-        for method, (_, kind) in METHOD_ALIASES.items():
-            if kind is not None:
-                cli("calibrate", *inputs, "--r-max", "6",
-                    "--method", method, "--out", path(f"{method}.json"))
-                yield f"calibrate:{method} stats.json", sha256(read(f"{method}.json"))
+        for method in ("tome", "adamerge"):
+            cli("calibrate", *inputs, "--r-max", "6",
+                "--method", method, "--out", path(f"{method}.json"))
+            yield f"calibrate:{method} stats.json", sha256(read(f"{method}.json"))
         stats = ("--stats", path("adamerge.json"))
 
         for label, argv in (("tome:r=3", ("--method", "tome", "--r", "3",
@@ -146,8 +145,8 @@ def cli_digests():
             "--stats", path("alpha2.json"), "--out-csv", path("run.csv"))
         yield "run:adamerge:r_max=6 alpha2-stats csv", sha256(read("run.csv"))
 
-        configs = ("none", "tome:r=3", "sw-only:r=3", "adamerge:r_max=6",
-                   "adp-only:r_max=6", "adamerge:r_max=4")
+        configs = ("none", "tome:r=3", "adamerge:r=3", "adamerge:r_max=6",
+                   "adamerge:r_max=4")
         cli("compare", *inputs, *stats, "--labels", path("labels.json"),
             *(a for c in configs for a in ("--config", c)),
             "--out-csv", path("compare.csv"), "--out-svg", path("compare.svg"))
@@ -182,7 +181,9 @@ def main(argv=None):
         return
     for name in args.models:
         weights, images = make_model(name, args.images)
-        stats = calibration.refine(weights, images, r_max=R_MAX, passes=2)
+        stats = {salience: calibration.refine(weights, images, r_max=R_MAX,
+                                              passes=2, salience=salience)
+                 for salience in (True, False)}
         for label, cfg in configs(stats):
             for i, (logits, trace) in enumerate(run_images(weights, images, cfg)):
                 print(f"{name} {label} image={i} "
