@@ -1,14 +1,17 @@
-# Tensor archive: a directory holding manifest.json plus one little-endian
-# float32 blob. The manifest maps tensor names to {shape, dtype, offset,
-# length}; offsets are relative to the end of the blob's magic header.
-# Round trips are bit-exact.
+# Tensor archive: a directory holding manifest.json plus one blob,
+# tensors.bin: a magic header, then each tensor's little-endian float32
+# bytes back to back. The manifest lists the tensors as [name, shape]
+# pairs in blob order, so a tensor starts where the one before it ends
+# and every payload byte belongs to exactly one tensor. Round trips are
+# bit-exact.
 #
 # A save writes every tensor from its own buffer into temporary files
 # that then replace the old ones, so a reader that has the old blob
-# mapped keeps its bytes. A load validates the whole manifest against
-# the blob's size, then maps the blob read-only and hands out each tensor
-# as a view of that one mapping: it copies no tensor byte, and the page
-# cache, not the process heap, holds the payload.
+# mapped keeps its bytes. A load checks the manifest and that the blob
+# holds exactly the listed tensors' bytes, then maps the blob read-only
+# and hands out each tensor as a view of that one mapping: it copies no
+# tensor byte, and the page cache, not the process heap, holds the
+# payload.
 
 import contextlib
 import json
@@ -21,7 +24,7 @@ import numpy as np
 MAGIC = b"ADMGTNS1"
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "tensors.bin"
-FORMAT_ID = "adamerge-tensor-archive-v1"
+FORMAT_ID = "adamerge-tensor-archive-v2"
 
 
 class ArchiveError(ValueError):
@@ -47,19 +50,12 @@ def read_json(path, name=None):
 def save_archive(path: str, tensors: dict, meta: dict | None = None) -> None:
     """Write tensors (name -> float32 array) plus free-form meta."""
     os.makedirs(path, exist_ok=True)
-    entries = {}
-    offset = 0
-    for name in tensors:
-        # ascontiguousarray below stores a scalar as shape (1,)
-        shape = [int(s) for s in np.shape(tensors[name])] or [1]
-        length = 4 * int(np.prod(shape, dtype=np.int64))
-        entries[name] = {"shape": shape, "dtype": "f32",
-                         "offset": offset, "length": length}
-        offset += length
     manifest = {
         "format": FORMAT_ID,
         "meta": meta or {},
-        "tensors": entries,
+        # ascontiguousarray below stores a scalar as shape (1,)
+        "tensors": [[name, [int(s) for s in np.shape(t)] or [1]]
+                    for name, t in tensors.items()],
     }
 
     def write_blob(f):
@@ -90,61 +86,39 @@ def _replace(path: str, name: str, write) -> None:
         raise
 
 
-def _validated_entries(manifest: dict, payload_size: int) -> dict:
-    """name -> (shape, offset, length), checked against the payload size."""
+def _shapes(manifest: dict) -> dict:
+    """name -> shape of every tensor, in blob order."""
     table = manifest.get("tensors")
-    if not isinstance(table, dict):
-        raise ArchiveError("manifest has no tensor table")
-    entries = {}
-    for name, entry in table.items():
-        if not isinstance(entry, dict):
-            raise ArchiveError(f"tensor {name}: malformed manifest entry")
-        if entry.get("dtype") != "f32":
-            raise ArchiveError(
-                f"tensor {name}: unsupported dtype {entry.get('dtype')}")
-        off, length, shape = (entry.get("offset"), entry.get("length"),
-                              entry.get("shape"))
-        if not (_is_count(off) and _is_count(length)):
-            raise ArchiveError(
-                f"tensor {name}: offset {off!r} / length {length!r} must be "
-                "non-negative integers")
-        if off % 4:
-            raise ArchiveError(
-                f"tensor {name}: offset {off} is not a multiple of 4")
-        if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
+    if not isinstance(table, list):
+        raise ArchiveError("manifest has no tensor list")
+    shapes = {}
+    for entry in table:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], list)):
+            raise ArchiveError(f"malformed tensor entry {json.dumps(entry)[:60]}; "
+                               "expected [name, shape]")
+        name, shape = entry
+        if name in shapes:
+            raise ArchiveError(f"tensor {name} is listed twice")
+        if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                   for s in shape):
             raise ArchiveError(f"tensor {name}: malformed shape {shape!r}")
         shape = tuple(shape)
-        if 4 * math.prod(shape) != length:  # Python ints: no wrap-around
-            raise ArchiveError(f"tensor {name}: length {length} != shape {shape}")
         # numpy's limits: 64 dimensions, and a byte size that fits in intp
-        # even for the non-zero dimensions of an empty shape
+        # even for the non-zero dimensions of an empty shape (Python ints:
+        # no wrap-around)
         if len(shape) > 64 or 4 * math.prod(s for s in shape if s) > sys.maxsize:
             raise ArchiveError(f"tensor {name}: shape {shape} is too large for an array")
-        if off + length > payload_size:
-            raise ArchiveError(
-                f"tensor {name}: extent beyond blob (truncated file?)")
-        entries[name] = (shape, off, length)
-
-    # sweep by offset; empty extents cover no byte and overlap nothing
-    reach, owner = 0, None
-    for name, (_, off, length) in sorted(
-            ((n, e) for n, e in entries.items() if e[2] > 0),
-            key=lambda item: item[1][1]):
-        if off < reach:
-            raise ArchiveError(f"tensors {owner} and {name}: extents overlap")
-        reach, owner = off + length, name
-    return entries
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        shapes[name] = shape
+    return shapes
 
 
 def load_archive(path: str) -> tuple[dict, dict]:
-    """Read back (tensors, meta); validates magic, meta, dtypes and extents.
+    """Read back (tensors, meta).
 
     Every check runs before the blob is mapped, and every error starts
-    `archive at <path>: `. The result maps each tensor name, in blob
+    `archive at <path>: `. The blob must hold exactly 4 bytes per listed
+    element after its magic. The result maps each tensor name, in blob
     order, to a read-only, C-contiguous float32 view of one read-only
     mapping of the blob; writing to it raises ValueError. The mapping
     lives as long as any of the views.
@@ -161,34 +135,39 @@ def _load(path: str) -> tuple[dict, dict]:
     if not os.path.isfile(manifest_path) or not os.path.isfile(blob_path):
         raise ArchiveError("not a tensor archive")
     manifest = read_json(manifest_path, MANIFEST_NAME)
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_ID:
-        fmt = manifest.get("format") if isinstance(manifest, dict) else None
-        raise ArchiveError(f"unsupported archive format: {fmt!r}")
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != FORMAT_ID:
+        raise ArchiveError(
+            f"unsupported archive format {fmt!r} (this build reads "
+            f"{FORMAT_ID!r}; re-run the adamerge synth-weights or synth "
+            "command that wrote it)")
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):
         raise ArchiveError(
             f"meta must be a JSON object, got {json.dumps(meta)[:40]}")
+    shapes = _shapes(manifest)
+    total = sum(math.prod(shape) for shape in shapes.values())  # elements
 
     with open(blob_path, "rb") as f:
-        payload_size = os.fstat(f.fileno()).st_size - len(MAGIC)
-        if payload_size < 0 or f.read(len(MAGIC)) != MAGIC:
+        if f.read(len(MAGIC)) != MAGIC:
             raise ArchiveError(f"bad magic in {BLOB_NAME}")
-        entries = _validated_entries(manifest, payload_size)
-        # empty tensors cover no byte: with only those there is nothing to map
+        payload_size = os.fstat(f.fileno()).st_size - len(MAGIC)
+        if payload_size != 4 * total:
+            raise ArchiveError(
+                f"{BLOB_NAME} holds {payload_size} bytes after its magic, but "
+                f"the manifest's tensors take {4 * total} (truncated or "
+                "extended file?)")
+        # with only empty tensors there is nothing to map
         payload = (np.memmap(f, dtype=np.uint8, mode="r", offset=len(MAGIC))
-                   if any(length for _, _, length in entries.values())
-                   else None)
-    return {name: _view(payload, entries[name], name)
-            for name in sorted(entries, key=lambda n: entries[n][1])}, meta
-
-
-def _view(payload: np.ndarray, entry, name: str) -> np.ndarray:
-    shape, off, length = entry
-    if length == 0:  # covers no byte of the mapping
-        return np.frombuffer(b"", dtype="<f4").reshape(shape)
-    if off + length > len(payload):  # the blob shrank after the size check
+                   if total else b"")
+    if len(payload) < 4 * total:  # the blob shrank after the size check
         raise ArchiveError(
-            f"tensor {name}: extent beyond the {len(payload)} mapped payload "
-            "bytes (blob truncated?)")
-    return np.frombuffer(payload, dtype="<f4", count=length // 4,
-                         offset=off).reshape(shape)
+            f"only {len(payload)} of the {4 * total} payload bytes of "
+            f"{BLOB_NAME} were mapped (blob truncated?)")
+    flat = np.frombuffer(payload, dtype="<f4", count=total)
+    tensors, start = {}, 0
+    for name, shape in shapes.items():  # each starts where the last ended
+        count = math.prod(shape)
+        tensors[name] = flat[start:start + count].reshape(shape)
+        start += count
+    return tensors, meta

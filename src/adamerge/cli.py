@@ -12,8 +12,8 @@ import numpy as np
 
 from . import calibration, data, flops, report
 from .archive import read_json
-from .runtime import (ModelDims, RunConfig, load_weights, run_images,
-                      save_weights, synth_weights)
+from .runtime import (ModelDims, NonFiniteError, RunConfig, load_weights,
+                      run_images, save_weights, synth_weights)
 from .schedule import _is_int
 
 EXIT_OK = 0
@@ -244,16 +244,42 @@ def parse_config_spec(spec: str):
     return method, opts
 
 
+def _stats_of_method(method, given):
+    """(path, stats) of the given `--stats` files for an adaptive run of
+    `method`: the one calibrated with its salience. A single file is
+    taken as it is, so that build_run_config names any mismatch."""
+    if len(given) <= 1:
+        return given[0] if given else (None, None)
+    salience = method_salience(method)
+    match = [(path, stats) for path, stats in given if stats.salience == salience]
+    if len(match) > 1:
+        raise ValueError(
+            f"{match[0][0]} and {match[1][0]} were both calibrated with "
+            f"salience={salience}; give one --stats per salience setting")
+    if not match:
+        raise ValueError(
+            f"none of the stats {', '.join(path for path, _ in given)} was "
+            f"calibrated with salience={salience} (method {method}); run "
+            f"`adamerge calibrate --method {method}` for stats of this method")
+    return match[0]
+
+
 def cmd_compare(args) -> int:
     weights, images, labels = _load_inputs(args)
-    stats = _load_stats(args.stats, weights)
+    given = [(path, _load_stats(path, weights)) for path in args.stats or ()]
+
+    # every config is resolved before the first one runs
+    runs = []
+    for spec in args.config:
+        method, opts = parse_config_spec(spec)
+        adaptive = method != "none" and "r" not in opts
+        path, stats = _stats_of_method(method, given) if adaptive else (None, None)
+        runs.append((spec, method, build_run_config(
+            method, stats=stats, stats_path=path, **opts)))
 
     rows = []
     series = {}
-    for spec in args.config:
-        method, opts = parse_config_spec(spec)
-        cfg = build_run_config(method, stats=stats, stats_path=args.stats,
-                               **opts)
+    for spec, method, cfg in runs:
         _, row = _measure(weights, images, cfg, labels)
         rows.append({"config": spec, "method": method, **row})
         series.setdefault(method, []).append((row["flops_g"], row["mean_merges"]))
@@ -356,7 +382,9 @@ def make_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", action="append", required=True,
                    help="e.g. tome:r=8 or adamerge:r_max=23")
-    p.add_argument("--stats", default=None)
+    p.add_argument("--stats", action="append",
+                   help="stats.json of the adaptive configs; repeat it to "
+                   "give each salience setting its own")
     p.add_argument("--labels", default=None)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-svg", default=None)
@@ -382,6 +410,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except NonFiniteError as e:  # only a command with --weights forwards
+        print(f"error: archive at {args.weights}: {e}", file=sys.stderr)
+        return EXIT_DATA
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -7,6 +7,7 @@ import pytest
 
 from adamerge import data
 from adamerge.archive import MAGIC, ArchiveError, load_archive, save_archive
+from adamerge.cli import main
 
 PAYLOAD = 4 << 20          # bytes of float32 data in the memory-bound tests
 SMALL = 64 << 10           # allowance for manifests, file buffers, dicts
@@ -54,31 +55,19 @@ def test_missing_directory(tmp_path):
 def test_bad_format_id(tmp_path):
     p = tmp_path / "arc"
     save_archive(str(p), {"a": np.zeros(2, np.float32)})
-    doc = json.loads((p / "manifest.json").read_text())
-    doc["format"] = "other"
-    (p / "manifest.json").write_text(json.dumps(doc))
+    _edit_manifest(p, lambda doc: doc.update(format="other"))
     with pytest.raises(ArchiveError, match=f"^archive at {re.escape(str(p))}: "
-                       "unsupported archive format: 'other'$"):
-        load_archive(str(p))
-
-
-def test_wrong_dtype_rejected(tmp_path):
-    p = tmp_path / "arc"
-    save_archive(str(p), {"a": np.zeros(2, np.float32)})
-    doc = json.loads((p / "manifest.json").read_text())
-    doc["tensors"]["a"]["dtype"] = "f64"
-    (p / "manifest.json").write_text(json.dumps(doc))
-    with pytest.raises(ArchiveError, match="dtype"):
+                       "unsupported archive format 'other' "):
         load_archive(str(p))
 
 
 def test_length_shape_mismatch_rejected(tmp_path):
+    # the shape claims 5 floats, the blob holds 4
     p = tmp_path / "arc"
     save_archive(str(p), {"a": np.zeros(4, np.float32)})
-    doc = json.loads((p / "manifest.json").read_text())
-    doc["tensors"]["a"]["shape"] = [5]
-    (p / "manifest.json").write_text(json.dumps(doc))
-    with pytest.raises(ArchiveError):
+    _edit_manifest(p, lambda doc: doc.update(tensors=[["a", [5]]]))
+    with pytest.raises(ArchiveError, match="tensors.bin holds 16 bytes after "
+                       "its magic, but the manifest's tensors take 20"):
         load_archive(str(p))
 
 
@@ -93,9 +82,8 @@ def test_blob_is_magic_plus_tensor_bytes(tmp_path):
                                 for t in tensors.values())
     assert (tmp_path / "arc" / "tensors.bin").read_bytes() == expected
     doc = json.loads((tmp_path / "arc" / "manifest.json").read_text())
-    assert doc["tensors"]["s"]["shape"] == [1]
-    assert doc["tensors"]["v"] == {"shape": [6], "dtype": "f32",
-                                   "offset": 64, "length": 24}
+    assert doc["tensors"] == [["w", [5, 3]], ["s", [1]], ["e", [0, 4]],
+                              ["v", [6]]]
 
 
 def test_loaded_arrays_are_read_only_float32_views(tmp_path):
@@ -141,7 +129,20 @@ def test_truncated_blob_rejected(tmp_path, cut):
     blob = p / "tensors.bin"
     blob.write_bytes(blob.read_bytes()[:cut])
     with pytest.raises(ArchiveError, match=f"^archive at {re.escape(str(p))}: "
-                       "(tensor b: extent|bad magic)"):
+                       f"(tensors.bin holds {cut - 8} bytes after its magic, "
+                       "but the manifest's tensors take 76 |bad magic)"):
+        load_archive(str(p))
+
+
+@pytest.mark.parametrize("extra", [1, 4])
+def test_trailing_bytes_rejected(tmp_path, extra):
+    p = tmp_path / "arc"
+    save_archive(str(p), {"a": np.ones((3, 4), np.float32)})
+    with open(p / "tensors.bin", "ab") as g:
+        g.write(b"\0" * extra)
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"archive at {p}: tensors.bin holds {48 + extra} bytes after its "
+            "magic, but the manifest's tensors take 48 ")):
         load_archive(str(p))
 
 
@@ -158,57 +159,93 @@ def test_blob_shrinking_before_the_map_is_rejected(tmp_path, monkeypatch):
         return memmap(*args, **kwargs)
 
     monkeypatch.setattr(np, "memmap", truncate_then_map)
-    with pytest.raises(ArchiveError, match="tensor b: extent beyond the 53 "
-                       "mapped payload bytes"):
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"archive at {p}: only 53 of the 76 payload bytes of tensors.bin "
+            "were mapped")):
         load_archive(str(p))
 
 
-@pytest.mark.parametrize("edit, match", [
-    (lambda t: t["b"].update(offset=40), "tensors a and b: extents overlap"),
-    (lambda t: (t["a"].update(offset=4), t["b"].update(offset=0)),
-     "tensors b and a: extents overlap"),
-    (lambda t: t["b"].update(offset=0, length=48, shape=[12]),
-     "tensors (a and b|b and a): extents overlap"),
-    (lambda t: t["a"].update(offset=-4), "tensor a: offset"),
-    (lambda t: t["b"].update(length=-28), "tensor b: offset"),
-    (lambda t: t["b"].update(offset=50, length=24, shape=[6]),
-     "tensor b: offset 50 is not a multiple of 4"),
-    # (2**62 + 3) * 4 elements wrap to 12 in int64: a's 48 bytes
-    (lambda t: t["a"].update(shape=[2**62 + 3, 4]),
-     r"tensor a: length 48 != shape \(4611686018427387907, 4\)"),
-], ids=["overlap", "overlap-out-of-order", "same-start", "negative-offset",
-        "negative-length", "misaligned", "overflow"])
-def test_bad_extents_rejected_before_any_read(tmp_path, monkeypatch, edit,
-                                             match):
+def _never_mapped(*args, **kwargs):
+    raise AssertionError("blob mapped before validation")
+
+
+@pytest.mark.parametrize("entry", [
+    {"name": "b", "shape": [7]}, ["b"], ["b", [7], "f32"], [7, [7]],
+    ["b", 7], None],
+    ids=["object", "no-shape", "three-items", "int-name", "int-shape", "null"])
+def test_entry_that_is_not_a_name_shape_pair_rejected(tmp_path, monkeypatch,
+                                                      entry):
     p = tmp_path / "arc"
     save_archive(str(p), {"a": np.ones((3, 4), np.float32),
                           "b": np.ones(7, np.float32)})
-    _edit_manifest(p, lambda doc: edit(doc["tensors"]))
-
-    def never(*args, **kwargs):
-        raise AssertionError("blob mapped before validation")
-
-    monkeypatch.setattr(np, "memmap", never)
-    with pytest.raises(ArchiveError, match=f"^archive at {re.escape(str(p))}: "
-                       f"{match}"):
+    _edit_manifest(p, lambda doc: doc["tensors"].__setitem__(1, entry))
+    monkeypatch.setattr(np, "memmap", _never_mapped)
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"archive at {p}: malformed tensor entry {json.dumps(entry)}; "
+            "expected [name, shape]")):
         load_archive(str(p))
 
 
+@pytest.mark.parametrize("shape", [[-1], [7.0], [True], ["7"], [[7]]],
+                         ids=["negative", "float", "bool", "string", "nested"])
+def test_malformed_shape_rejected(tmp_path, monkeypatch, shape):
+    p = tmp_path / "arc"
+    save_archive(str(p), {"a": np.ones(7, np.float32)})
+    _edit_manifest(p, lambda doc: doc.update(tensors=[["a", shape]]))
+    monkeypatch.setattr(np, "memmap", _never_mapped)
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"archive at {p}: tensor a: malformed shape {shape!r}")):
+        load_archive(str(p))
+
+
+def test_name_listed_twice_rejected(tmp_path, monkeypatch):
+    # json.load keeps only the last of two keys of one name in an object;
+    # a list keeps both entries, and the load refuses them
+    p = tmp_path / "arc"
+    save_archive(str(p), {"a": np.ones(3, np.float32),
+                          "b": np.ones(3, np.float32)})
+    _edit_manifest(p, lambda doc: doc.update(tensors=[["a", [3]], ["a", [3]]]))
+    monkeypatch.setattr(np, "memmap", _never_mapped)
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"archive at {p}: tensor a is listed twice")):
+        load_archive(str(p))
+
+
+def test_v1_archive_exits_2_with_the_rerun_hint(tmp_path, capsys):
+    # the v1 layout: a name -> {shape, dtype, offset, length} table over
+    # the same blob bytes
+    p = tmp_path / "arc"
+    save_archive(str(p), {"images": np.ones((1, 2, 4), np.float32)},
+                 {"kind": "token-dataset"})
+    _edit_manifest(p, lambda doc: doc.update(
+        format="adamerge-tensor-archive-v1",
+        tensors={"images": {"shape": [1, 2, 4], "dtype": "f32", "offset": 0,
+                            "length": 32}}))
+    assert main(["run", "--weights", str(p), "--dataset", str(p),
+                 "--method", "none"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: archive at {p}: unsupported archive format "
+        "'adamerge-tensor-archive-v1' (this build reads "
+        "'adamerge-tensor-archive-v2'; re-run the adamerge synth-weights or "
+        "synth command that wrote it)\n")
+
+
 @pytest.mark.parametrize("shape", [
-    [2**70, 0], [2**61, 0], [0, 2**60, 2], [1] * 64 + [0]],
+    [2**70, 0], [2**61, 0], [0, 2**60, 2], [1] * 64 + [0], [2**62]],
     ids=["dim-beyond-intp", "bytes-beyond-intp", "product-beyond-intp",
-         "65-dims"])
+         "65-dims", "bytes-wrap-to-zero"])
 def test_unrepresentable_shape_rejected(tmp_path, shape):
+    # e holds no byte; 4 * 2**62 bytes would wrap to 0 in 64-bit arithmetic
     p = tmp_path / "arc"
     save_archive(str(p), {"a": np.ones(3, np.float32),
                           "e": np.zeros(0, np.float32)})
-    _edit_manifest(p, lambda doc: doc["tensors"]["e"].update(shape=shape))
+    _edit_manifest(p, lambda doc: doc["tensors"][1].__setitem__(1, shape))
     with pytest.raises(ArchiveError, match=re.escape(
             f"archive at {p}: tensor e: shape {tuple(shape)} is too large "
             "for an array")):
         load_archive(str(p))
     # the largest empty shape numpy still represents loads
-    _edit_manifest(p, lambda doc: doc["tensors"]["e"].update(shape=[2**61 - 1, 0]))
+    _edit_manifest(p, lambda doc: doc["tensors"][1].__setitem__(1, [2**61 - 1, 0]))
     assert load_archive(str(p))[0]["e"].shape == (2**61 - 1, 0)
 
 
@@ -218,22 +255,21 @@ def test_meta_must_be_an_object(tmp_path, monkeypatch, meta):
     save_archive(str(p), {"a": np.ones(3, np.float32)})
     _edit_manifest(p, lambda doc: doc.update(meta=meta))
 
-    def never(*args, **kwargs):
-        raise AssertionError("blob mapped before validation")
-
-    monkeypatch.setattr(np, "memmap", never)
+    monkeypatch.setattr(np, "memmap", _never_mapped)
     with pytest.raises(ArchiveError, match=re.escape(
             f"archive at {p}: meta must be a JSON object, got ")):
         load_archive(str(p))
 
 
 def test_empty_extent_overlaps_nothing(tmp_path):
+    # an empty tensor between two others takes no byte: b starts where a ends
     p = tmp_path / "arc"
-    save_archive(str(p), {"a": np.ones((3, 4), np.float32),
-                          "e": np.zeros(0, np.float32)})
-    _edit_manifest(p, lambda doc: doc["tensors"]["e"].update(offset=8))
+    a, b = np.arange(3, dtype=np.float32), np.arange(3, 5, dtype=np.float32)
+    save_archive(str(p), {"a": a, "e": np.zeros((2, 0), np.float32), "b": b})
+    assert (p / "tensors.bin").read_bytes() == MAGIC + a.tobytes() + b.tobytes()
     back, _ = load_archive(str(p))
-    assert back["e"].shape == (0,)
+    assert back["e"].shape == (2, 0)
+    assert back["a"].tobytes() == a.tobytes() and back["b"].tobytes() == b.tobytes()
 
 
 class TestPeakMemory:
@@ -310,7 +346,7 @@ class TestSynthData:
             back[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda doc: doc["tensors"].pop("images"),
+        (lambda doc: doc["tensors"].clear(),
          "holds one 3-D tensor 'images', found 0 tensors"),
         (lambda doc: doc["meta"].update(kind="vit-weights"), "token dataset"),
     ], ids=["missing-image", "wrong-kind"])
@@ -318,5 +354,7 @@ class TestSynthData:
         p = tmp_path / "ds"
         data.save_dataset(str(p), data.synth_images(3, 8, 4, 0.5, seed=4))
         _edit_manifest(p, edit)
+        if not json.loads((p / "manifest.json").read_text())["tensors"]:
+            (p / "tensors.bin").write_bytes(MAGIC)  # no tensor, no byte
         with pytest.raises(ArchiveError, match=match):
             data.load_dataset(str(p))

@@ -791,6 +791,54 @@ class TestSalienceOfStats:
             f"salience={not calibrated_with} (method {method}); run `adamerge "
             f"calibrate --method {method}` for stats of this method\n")
 
+    @staticmethod
+    def compare_rows(workspace, tmp_path, configs, stats):
+        """`compare` CSV rows of `configs` on the `stats` files, wall time
+        left out."""
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"],
+                     *(a for c in configs for a in ("--config", c)),
+                     *(a for path in stats for a in ("--stats", path)),
+                     "--out-csv", str(out)]) == 0
+        rows = list(csv.DictReader(open(out)))
+        for row in rows:
+            del row["wall_time_s"]
+        return rows
+
+    def test_compare_runs_each_config_on_the_stats_of_its_salience(
+            self, workspace, tome_stats, tmp_path):
+        both = self.compare_rows(workspace, tmp_path,
+                                 ["tome:r_max=6", "adamerge:r_max=6"],
+                                 [tome_stats, workspace["stats"]])
+        assert both == (
+            self.compare_rows(workspace, tmp_path, ["tome:r_max=6"], [tome_stats])
+            + self.compare_rows(workspace, tmp_path, ["adamerge:r_max=6"],
+                                [workspace["stats"]]))
+
+    def test_compare_on_two_stats_of_one_salience_names_both(
+            self, workspace, tmp_path, capsys):
+        copy = str(shutil.copy(workspace["stats"], tmp_path / "copy.json"))
+        assert main(["compare", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "adamerge:r_max=6",
+                     "--stats", workspace["stats"], "--stats", copy]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {workspace['stats']} and {copy} were both calibrated with "
+            "salience=True; give one --stats per salience setting\n")
+
+    def test_compare_config_no_stats_match_names_the_files(
+            self, workspace, tome_stats, tmp_path, capsys):
+        copy = str(shutil.copy(tome_stats, tmp_path / "copy.json"))
+        # fixed configs read no stats, so only the adaptive one fails
+        assert main(["compare", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "tome:r=3",
+                     "--config", "adamerge:r_max=6", "--config", "none",
+                     "--stats", tome_stats, "--stats", copy]) == 2
+        assert capsys.readouterr().err == (
+            f"error: none of the stats {tome_stats}, {copy} was calibrated "
+            "with salience=True (method adamerge); run `adamerge calibrate "
+            "--method adamerge` for stats of this method\n")
+
     @pytest.mark.parametrize("version", [True, 1, 2.0, "2"],
                              ids=["true", "1", "2.0", "str-2"])
     def test_version_must_be_the_integer_2(self, workspace, tmp_path, capsys,
@@ -829,14 +877,35 @@ class TestRejectedArchives:
         paths[which] = str(shutil.copytree(workspace[which], tmp_path / which))
         man = tmp_path / which / "manifest.json"
         doc = json.loads(man.read_text())
-        name = next(iter(doc["tensors"]))
-        doc["tensors"][name]["dtype"] = "f64"
+        name = doc["tensors"][0][0]
+        doc["tensors"][0][1] = [-1]
         man.write_text(json.dumps(doc))
         assert main(["run", "--weights", paths["weights"], "--dataset",
                      paths["dataset"], "--method", "none"]) == 2
         assert capsys.readouterr().err == (
-            f"error: archive at {paths[which]}: tensor {name}: unsupported "
-            "dtype f64\n")
+            f"error: archive at {paths[which]}: tensor {name}: malformed "
+            "shape [-1]\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "adamerge"], ["--method", "tome", "--r", "3"],
+        ["--method", "none"]], ids=["adamerge-adaptive", "tome", "none"])
+    def test_nan_weight_names_the_tensor(self, workspace, tmp_path, capsys,
+                                         argv):
+        # a NaN over element 5 of block00.w_fc1, the 9th tensor: the
+        # adaptive run used to fail converting a NaN z to an int, and the
+        # fixed ones exited 0 with NaN logits
+        bad = str(shutil.copytree(workspace["weights"], tmp_path / "weights"))
+        at = 8 + 4 * (5 + sum(math.prod(shape) for _, shape in json.loads(
+            (tmp_path / "weights" / "manifest.json").read_text())["tensors"][:8]))
+        with open(tmp_path / "weights" / "tensors.bin", "r+b") as f:
+            f.seek(at)
+            f.write(np.float32(np.nan).tobytes())
+        stats = ["--stats", workspace["stats"]] if argv == ["--method", "adamerge"] else []
+        assert main(["run", "--weights", bad, "--dataset", workspace["dataset"],
+                     *argv, *stats]) == 2
+        assert capsys.readouterr().err == (
+            f"error: archive at {bad}: tensor block00.w_fc1 holds nan at "
+            "index (0, 5)\n")
 
     @pytest.mark.parametrize("layers", [10**6, 2**70, 10**400],
                              ids=["10**6", "2**70", "10**400"])

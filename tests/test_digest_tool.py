@@ -22,7 +22,8 @@ def test_cli_output_repeats_byte_for_byte():
     labels = [line.split(" sha256=")[0] for line in first.decode().splitlines()]
     # manifest + blob of 2 synth archives; stats.json of the 2 merging
     # methods; csv + stdout of 2 runs; csv of 1 run on the stats'
-    # schedule; compare csv + svg; svg + csv of 2 viz maps
+    # schedule; compare csv + svg, of configs on two --stats; svg + csv
+    # of 2 viz maps
     assert len(labels) == len(set(labels)) == 2 * 2 + 2 + 2 * 2 + 1 + 2 + 2 * 2
 
 

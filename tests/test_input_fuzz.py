@@ -1,7 +1,8 @@
 # Every input file that differs from a valid one in one JSON leaf (a
-# stats.json, or the manifest.json of the weights or of the dataset) must
-# either run or exit 2 with an error that names the file: never a
-# traceback, never exit 1 (the code for a usage error).
+# stats.json, a --labels file, or the manifest.json of the weights or of
+# the dataset) or in the bytes of a tensors.bin must either run or exit 2
+# with an error that names the file: never a traceback, never exit 1 (the
+# code for a usage error).
 
 import contextlib
 import io
@@ -10,8 +11,10 @@ import os
 import shutil
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
+from adamerge.archive import MAGIC
 from adamerge.cli import main
 
 # what a leaf is replaced with: every JSON type, plus ints and floats
@@ -47,6 +50,32 @@ def leaves(doc, path=()):
             yield path + (key,)
 
 
+def run_case(argv, name, must_fail, case):
+    """Run the CLI on `argv`: it must exit 0 or 2 (2 when `must_fail`), and
+    an error must start `error: ` and name `name`. Returns the exit code
+    and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in ((2,) if must_fail else (0, 2)), (case, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and \
+            name in err.getvalue(), (case, err.getvalue())
+    return code, err.getvalue()
+
+
+def write_leaf(doc, bad, path, value):
+    """Write `doc` with the leaf at `path` replaced by `value` to `bad`."""
+    edited = json.loads(json.dumps(doc))
+    parent = edited
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with open(bad, "w", encoding="utf-8") as f:
+        json.dump(edited, f)
+
+
 def fuzz(source, bad, argv, name, max_examples, must_fail=lambda path, v: False):
     """Run `argv` on the JSON file `bad`: `source` with one leaf replaced.
     An error must name `name`; a case where `must_fail` holds must exit 2."""
@@ -57,24 +86,25 @@ def fuzz(source, bad, argv, name, max_examples, must_fail=lambda path, v: False)
     @given(st.sampled_from(sorted(leaves(doc), key=str)),
            st.sampled_from(VALUES))
     def case(path, value):
-        edited = json.loads(json.dumps(doc))
-        parent = edited
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        with open(bad, "w", encoding="utf-8") as f:
-            json.dump(edited, f)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in ((2,) if must_fail(path, value) else (0, 2)), \
-            (path, value, err.getvalue())
-        if code == 2:
-            assert err.getvalue().startswith("error: ") and \
-                name in err.getvalue(), (path, value, err.getvalue())
+        write_leaf(doc, bad, path, value)
+        run_case(argv, name, must_fail(path, value), (path, value))
 
     case()
+
+
+def write_blob(archive, data):
+    """Replace the tensors.bin of `archive` by rename, so that a view of
+    the old blob still held by an earlier run keeps its bytes."""
+    tmp = os.path.join(archive, "tensors.bin.tmp")
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, os.path.join(archive, "tensors.bin"))
+
+
+def float_at(blob, k, value):
+    """`blob` with its k-th float32 after the magic set to `value`."""
+    at = len(MAGIC) + 4 * k
+    return blob[:at] + np.float32(value).tobytes() + blob[at + 4:]
 
 
 def test_one_bad_stats_leaf_runs_or_names_the_file(workspace):
@@ -99,3 +129,87 @@ def test_one_bad_manifest_leaf_runs_or_names_the_archive(workspace, tmp_path,
          ["run", "--weights", paths["weights"], "--dataset", paths["data"],
           "--method", "tome", "--r", "2"], f"archive at {paths[which]}",
          max_examples)
+
+
+def bad_archive(workspace, tmp_path, which):
+    """Copy of the `which` archive, the `run` argv that reads it, and its
+    original blob."""
+    paths = {k: workspace[k] for k in ("weights", "data")}
+    paths[which] = str(shutil.copytree(workspace[which], tmp_path / which))
+    with open(os.path.join(paths[which], "tensors.bin"), "rb") as f:
+        blob = f.read()
+    argv = ["run", "--weights", paths["weights"], "--dataset", paths["data"],
+            "--method", "adamerge", "--stats", workspace["stats.json"]]
+    return paths[which], argv, blob
+
+
+@pytest.mark.parametrize("which", ["weights", "data"])
+def test_cut_extended_or_unmagic_blob_names_the_archive(workspace, tmp_path,
+                                                        which):
+    path, argv, blob = bad_archive(workspace, tmp_path, which)
+    edits = {f"cut-{n}": blob[:n]
+             for n in (0, 4, 7, 8, len(blob) // 2, len(blob) - 1)}
+    edits.update({f"append-{n}": blob + b"\0" * n for n in (1, 4)})
+    edits.update({f"flip-magic-{i}": blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
+                  for i in range(len(MAGIC))})
+    for case, data in edits.items():
+        write_blob(path, data)
+        run_case(argv, f"archive at {path}: ", True, case)
+
+
+def test_non_finite_token_names_its_image_and_row(workspace, tmp_path):
+    path, argv, blob = bad_archive(workspace, tmp_path, "data")
+
+    # the dataset holds 2 images of 24 tokens of dim 16
+    @settings(max_examples=30)
+    @given(st.integers(0, 2 * 24 * 16 - 1),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def case(k, value):
+        write_blob(path, float_at(blob, k, value))
+        _, err = run_case(argv, path, True, (k, value))
+        assert err == (f"error: archive at {path}: image {k // (24 * 16)} has "
+                       f"a non-finite value in token row {k // 16 % 24}\n")
+
+    case()
+
+
+# plants whose effect vanishes before the logits (the run exits 0 with
+# finite logits). A sweep of every element of every tensor of this model
+# with each value found none: each NaN or infinity reaches a block output
+# or the head's output, where the forward checks it.
+VANISHING = []
+
+
+def test_non_finite_weight_names_its_tensor(workspace, tmp_path):
+    path, argv, blob = bad_archive(workspace, tmp_path, "weights")
+    with open(os.path.join(path, "manifest.json"), encoding="utf-8") as f:
+        entries = json.load(f)["tensors"]
+    vanished, start = [], 0
+    for name, shape in entries:
+        size = int(np.prod(shape))
+        for value in (np.nan, np.inf, -np.inf):
+            # the middle element of every tensor
+            write_blob(path, float_at(blob, start + size // 2, value))
+            code, err = run_case(argv, f"archive at {path}: ", False,
+                                 (name, value))
+            if code == 0:
+                vanished.append((name, value))
+            else:
+                index = np.unravel_index(size // 2, shape)
+                assert err == (f"error: archive at {path}: tensor {name} holds "
+                               f"{np.float32(value)} at index "
+                               f"{tuple(int(i) for i in index)}\n")
+        start += size
+    assert vanished == VANISHING
+
+
+def test_one_bad_labels_leaf_runs_or_names_the_file(workspace, tmp_path):
+    # every leaf of a valid labels file (2 images, 5 classes), replaced
+    # with every value
+    bad = str(tmp_path / "labels.json")
+    argv = ["run", "--weights", workspace["weights"], "--dataset",
+            workspace["data"], "--method", "tome", "--r", "2", "--labels", bad]
+    for path in leaves([0, 4]):
+        for value in VALUES:
+            write_leaf([0, 4], bad, path, value)
+            run_case(argv, bad, False, (path, value))

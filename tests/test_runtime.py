@@ -7,11 +7,12 @@ import pytest
 
 import naive_reference as ref
 from adamerge import calibration, data
-from adamerge.archive import ArchiveError
+from adamerge.archive import ArchiveError, load_archive, save_archive
 from adamerge.cli import method_salience
-from adamerge.runtime import (BlockWeights, ModelDims, RunConfig,
-                              TokenSequence, forward_block, forward_model,
-                              load_weights, save_weights, synth_weights)
+from adamerge.runtime import (BlockWeights, ModelDims, NonFiniteError,
+                              RunConfig, TokenSequence, forward_block,
+                              forward_model, load_weights, run_images,
+                              save_weights, synth_weights)
 from adamerge.schedule import LayerStats
 
 
@@ -212,6 +213,44 @@ class TestForwardModel:
             assert np.allclose(logits, want_logits, atol=1e-5)
 
 
+class TestNonFinite:
+    @pytest.fixture
+    def weights(self):
+        return synth_weights(11, ModelDims(d=16, heads=2, d_ff=32, layers=4,
+                                           n_classes=6))
+
+    def test_block_output_check_names_the_first_bad_weight(self, weights,
+                                                           image):
+        weights.blocks[1].w_fc1[0, 5] = np.nan
+        weights.blocks[2].b_qkv[3] = np.inf  # later in archive order
+        cfg = RunConfig(schedule=flat_stats(weights))
+        with pytest.raises(NonFiniteError,
+                           match=r"^the output of layer 1 is not finite$"):
+            forward_model(make_seq(image), weights, cfg)
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "tensor block01.w_fc1 holds nan at index (0, 5)")):
+            run_images(weights, [image], cfg)
+
+    def test_head_output_check_names_the_weight(self, weights, image):
+        weights.b_head[2] = -np.inf
+        with pytest.raises(NonFiniteError,
+                           match=r"^the output of the head is not finite$"):
+            forward_model(make_seq(image), weights, fixed_cfg("tome", 3))
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "tensor head.bias holds -inf at index (2,)")):
+            run_images(weights, [image], fixed_cfg("tome", 3))
+
+    def test_overflow_of_finite_weights_names_image_and_layer(self, weights,
+                                                              image):
+        # the residual add of two ~3e38 float32 values overflows
+        weights.blocks[2].b_proj[...] = 3e38
+        weights.blocks[2].b_fc2[...] = 3e38
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "every weight is finite, but on image 0 the output of layer 2 "
+                "is not finite")):
+            run_images(weights, [image], fixed_cfg("none", 0))
+
+
 class TestSalienceOnlyWhenRead:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -298,8 +337,8 @@ class TestWeightsArchive:
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                    for f in ("manifest.json", "tensors.bin")}
         assert digests == {
-            "manifest.json": "11dc61168bc4bf4b7c5ce8d70f5b81e0"
-                             "5b2086b5bc714962641f395d81d74e47",
+            "manifest.json": "f1bb973f13f4c167b8b97f687db9ef0f"
+                             "cb8968466c6c60ee786db8fb737bdd54",
             "tensors.bin": "cf3daaf6622d93baa5338f5d54ba4461"
                            "0aaa0f9919fef3f0a33abba0458e21c3"}
 
@@ -308,7 +347,8 @@ class TestWeightsArchive:
         save_weights(model, str(p))
         blob = p / "tensors.bin"
         blob.write_bytes(blob.read_bytes()[:100])
-        with pytest.raises(ArchiveError, match="truncated|extent"):
+        with pytest.raises(ArchiveError, match="tensors.bin holds 92 bytes "
+                           "after its magic, but the manifest's tensors take"):
             load_weights(str(p))
 
     def test_bad_magic_rejected(self, model, tmp_path):
@@ -322,21 +362,21 @@ class TestWeightsArchive:
             load_weights(str(p))
 
     def test_missing_tensor_rejected(self, model, tmp_path):
-        import json
+        # an archive of every tensor but head.weight, blob bytes included
         p = tmp_path / "weights"
         save_weights(model, str(p))
-        man = p / "manifest.json"
-        doc = json.loads(man.read_text())
-        del doc["tensors"]["head.weight"]
-        man.write_text(json.dumps(doc))
+        tensors, meta = load_archive(str(p))
+        del tensors["head.weight"]
+        save_archive(str(p), tensors, meta)
         with pytest.raises(ArchiveError, match=re.escape(
                 f"archive at {p}: missing tensor head.weight")):
             load_weights(str(p))
 
     @pytest.mark.parametrize("edit,extra", [
         (lambda doc: doc["meta"].update(layers=doc["meta"]["layers"] - 1), None),
-        (lambda doc: doc["tensors"].update(stray={
-            "shape": [0], "dtype": "f32", "offset": 0, "length": 0}), "stray")], ids=["fewer-layers", "stray-tensor"])
+        # an empty tensor adds no blob byte
+        (lambda doc: doc["tensors"].append(["stray", [0]]), "stray")],
+        ids=["fewer-layers", "stray-tensor"])
     def test_extra_tensor_rejected(self, model, tmp_path, edit, extra):
         import json
         p = tmp_path / "weights"
@@ -358,10 +398,10 @@ class TestWeightsArchive:
         save_weights(model, str(p))
         man = p / "manifest.json"
         doc = json.loads(man.read_text())
-        entry = doc["tensors"]["head.weight"]
-        entry["shape"] = entry["shape"][::-1]
+        entry = next(e for e in doc["tensors"] if e[0] == "head.weight")
+        entry[1] = entry[1][::-1]
         man.write_text(json.dumps(doc))
-        shape = tuple(entry["shape"])
+        shape = tuple(entry[1])
         with pytest.raises(ArchiveError, match=re.escape(
                 f"archive at {p}: tensor head.weight: shape {shape}, expected "
                 f"{shape[::-1]}")):

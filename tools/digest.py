@@ -23,7 +23,9 @@ manifest.json and tensors.bin of `synth-weights` and `synth`, the
 `calibrate` stats.json of `tome` and `adamerge`, the `run` CSVs and
 stdout, the CSV of an adaptive `run` on stats calibrated with
 `--alpha 2` (a run takes alpha only from its stats), the `compare` CSV
-and SVG, and the `viz` SVG and CSV. Wall times are left out: the `run`
+and SVG (its adaptive `tome` and `adamerge` configs each run on the
+stats of their own salience, from two `--stats`), and the `viz` SVG and
+CSV. Wall times are left out: the `run`
 stdout line and the `compare` CSV column.
 """
 
@@ -146,8 +148,9 @@ def cli_digests():
         yield "run:adamerge:r_max=6 alpha2-stats csv", sha256(read("run.csv"))
 
         configs = ("none", "tome:r=3", "adamerge:r=3", "adamerge:r_max=6",
-                   "adamerge:r_max=4")
-        cli("compare", *inputs, *stats, "--labels", path("labels.json"),
+                   "adamerge:r_max=4", "tome:r_max=6")
+        cli("compare", *inputs, *stats, "--stats", path("tome.json"),
+            "--labels", path("labels.json"),
             *(a for c in configs for a in ("--config", c)),
             "--out-csv", path("compare.csv"), "--out-svg", path("compare.svg"))
         with open(path("compare.csv"), newline="", encoding="utf-8") as f:
