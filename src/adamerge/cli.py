@@ -162,25 +162,6 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _load_stats(path, weights):
-    """Stats at `path` (None without a path), checked against the model."""
-    if not path:
-        return None
-    stats = calibration.load_stats(path)
-    if stats.model_id != weights.model_id:
-        raise ValueError(
-            f"{path}: stats were calibrated on model {stats.model_id!r}, "
-            f"but the weights are model {weights.model_id!r}")
-    return stats
-
-
-def _cfg_from_args(args, weights, track_maps=False):
-    stats = _load_stats(args.stats, weights)
-    return build_run_config(args.method, r=args.r, r_max=args.r_max,
-                            stats=stats, stats_path=args.stats,
-                            track_maps=track_maps)
-
-
 def _measure(weights, images, cfg, labels):
     """Forward every image; returns (results, summary row). FLOPs,
     merge overhead and merges are means over images, since adaptive r
@@ -202,7 +183,7 @@ def _measure(weights, images, cfg, labels):
 
 def cmd_run(args) -> int:
     weights, images, labels = _load_inputs(args)
-    cfg = _cfg_from_args(args, weights)
+    [(_, _, cfg)] = _resolve_configs(args, weights)
 
     results, row = _measure(weights, images, cfg, labels)
     if args.out_csv:
@@ -264,22 +245,46 @@ def _stats_of_method(method, given):
     return match[0]
 
 
+def _resolve_configs(args, weights, track_maps=False):
+    """(label, method, RunConfig) of every run of a command, all resolved
+    before the first one runs: each --config of compare, or the --method,
+    --r and --r-max of run and viz. An adaptive run reads the --stats
+    file calibrated with its method's salience; a file that no run reads
+    is an error, since its schedule would silently not apply."""
+    if hasattr(args, "config"):
+        runs = [(spec, *parse_config_spec(spec)) for spec in args.config]
+    else:
+        runs = [(args.method, args.method, {"r": args.r, "r_max": args.r_max})]
+    given = []
+    for path in args.stats or ():
+        stats = calibration.load_stats(path)
+        if stats.model_id != weights.model_id:
+            raise ValueError(
+                f"{path}: stats were calibrated on model {stats.model_id!r}, "
+                f"but the weights are model {weights.model_id!r}")
+        given.append((path, stats))
+
+    resolved, read = [], set()
+    for label, method, opts in runs:
+        adaptive = method != "none" and opts.get("r") is None
+        path, stats = _stats_of_method(method, given) if adaptive else (None, None)
+        resolved.append((label, method, build_run_config(
+            method, stats=stats, stats_path=path, track_maps=track_maps, **opts)))
+        read.add(path)
+    for path, stats in given:
+        if path not in read:
+            why = (f"no adaptive run has their salience={stats.salience}"
+                   if read - {None} else "a fixed r and method none read none")
+            raise ValueError(f"{path}: no run reads these stats, since {why}; "
+                             "leave this --stats out")
+    return resolved
+
+
 def cmd_compare(args) -> int:
     weights, images, labels = _load_inputs(args)
-    given = [(path, _load_stats(path, weights)) for path in args.stats or ()]
-
-    # every config is resolved before the first one runs
-    runs = []
-    for spec in args.config:
-        method, opts = parse_config_spec(spec)
-        adaptive = method != "none" and "r" not in opts
-        path, stats = _stats_of_method(method, given) if adaptive else (None, None)
-        runs.append((spec, method, build_run_config(
-            method, stats=stats, stats_path=path, **opts)))
-
     rows = []
     series = {}
-    for spec, method, cfg in runs:
+    for spec, method, cfg in _resolve_configs(args, weights):
         _, row = _measure(weights, images, cfg, labels)
         rows.append({"config": spec, "method": method, **row})
         series.setdefault(method, []).append((row["flops_g"], row["mean_merges"]))
@@ -308,7 +313,7 @@ def cmd_viz(args) -> int:
         raise ValueError(
             f"image index {args.image_index} out of range (dataset has "
             f"{len(images)} images)")
-    cfg = _cfg_from_args(args, weights, track_maps=True)
+    [(_, _, cfg)] = _resolve_configs(args, weights, track_maps=True)
     [(_, trace)] = run_images(weights, [images[args.image_index]], cfg)
     n_tokens = images.shape[1]
     if args.out_svg:
@@ -330,7 +335,9 @@ def _add_schedule_flags(p):
                    help="fixed per-layer merge count")
     p.add_argument("--r-max", type=int, default=None,
                    help="adaptive-schedule budget (default: the stats' r_max)")
-    p.add_argument("--stats", default=None,
+    # repeatable as in compare, so that a second file is rejected as unread
+    # rather than silently replacing the first
+    p.add_argument("--stats", action="append",
                    help="stats.json of the adaptive schedule, used without --r")
 
 

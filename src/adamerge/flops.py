@@ -33,8 +33,8 @@ def merge_overhead_flops(n_patch: int, d: int, salience: bool) -> int:
     """Cost of one merge step over n_patch patch tokens: the |A| x |B|
     cosine scores, plus the n_patch x n_patch affinity matrix when the
     step computes salience."""
-    part = partition(n_patch)
-    cost = part.n_a * part.n_b * d
+    n_a, n_b = partition(n_patch)
+    cost = n_a * n_b * d
     if salience:
         cost += n_patch * n_patch * d
     return cost

@@ -13,23 +13,16 @@ from .numeric import DTYPE, cosine_matrix
 ZERO_WEIGHT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Sequential split of n patch tokens: A = [0, n_a), B = [n_a, n)."""
-    n_a: int
-    n_b: int
-
-
-def partition(n_patch_tokens: int) -> Partition:
-    """Split tokens [0, n) into A = first half, B = second half.
+def partition(n_patch_tokens: int) -> tuple[int, int]:
+    """(n_a, n_b) of the sequential split A = [0, n_a), B = [n_a, n).
 
     Odd n gives A the extra token. n < 2 yields an empty B, which forces
     r = 0 downstream (nothing to merge into).
     """
     if n_patch_tokens < 2:
-        return Partition(n_a=n_patch_tokens, n_b=0)
+        return n_patch_tokens, 0
     n_a = (n_patch_tokens + 1) // 2
-    return Partition(n_a=n_a, n_b=n_patch_tokens - n_a)
+    return n_a, n_patch_tokens - n_a
 
 
 @dataclass

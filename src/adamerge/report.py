@@ -133,8 +133,8 @@ def merge_map_state(trace):
     for rec in trace.layers:
         for src, _, _ in rec.edges:
             merged_at.setdefault(reps[src], rec.layer)
-        part = partition(rec.n_before)
-        reps = [reps[i] for i in MergeDecision(part.n_a, part.n_b, rec.edges).survivors]
+        reps = [reps[i] for i in
+                MergeDecision(*partition(rec.n_before), rec.edges).survivors]
         sal_layers.append({} if rec.rep_salience is None
                           else dict(zip(reps, rec.rep_salience)))
     return merged_at, sal_layers

@@ -33,9 +33,6 @@ class ModelDims:
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
 
-
-VIT_B16 = ModelDims(d=768, heads=12, d_ff=3072, layers=12)
-
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -216,27 +213,26 @@ def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
     none of its arguments.
     """
     n = patches.shape[0]
-    part = partition(n)
+    n_a, n_b = partition(n)
     rec = LayerRecord(layer=layer, n_before=n, n_after=n, r=0, sbar=0.0,
                       z=0.0, sizes_total=int(sizes.sum()))
     # normalized salience, computed only where something reads it: the
     # weights of a salience run, or the per-token map of track_maps
     norm = None
     if cfg.salience or cfg.track_maps:
-        sal = salience_of(patches)
-        rec.raw_salience_sum = float(sal.raw.sum())
-        norm = sal.normalized
-    if part.n_b == 0:
+        raw, norm = salience_of(patches)
+        rec.raw_salience_sum = float(raw.sum())
+    if n_b == 0:
         rec.empty_b = True
         return patches, sizes, rec
 
     # the only difference between the two settings: which vectors weight
     # the scores (salience or none) and the group means (salience or sizes)
     if cfg.salience:
-        score_w, merge_w = norm[:part.n_a], norm
+        score_w, merge_w = norm[:n_a], norm
     else:
         score_w, merge_w = None, sizes
-    scores = weighted_scores(patches[:part.n_a], patches[part.n_a:], score_w)
+    scores = weighted_scores(patches[:n_a], patches[n_a:], score_w)
     rec.sbar = redundancy_proxy(scores)
 
     sched = cfg.schedule
@@ -268,8 +264,8 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
 
     Returns (logits, trace); seq_in and its arrays are left as given.
     schedule=None skips merging entirely and is the vanilla ViT forward.
-    Raises NonFiniteError when a block's output or the logits hold a NaN
-    or an infinity.
+    Raises NonFiniteError when the input tokens, a block's output or the
+    logits hold a NaN or an infinity.
     """
     dims = weights.dims
     stats = cfg.schedule
@@ -277,8 +273,15 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
         raise ValueError(
             f"stats cover {stats.num_layers} layers, model has {dims.layers}")
 
-    _keep_temporaries_on_heap()
     cls, patches = seq_in.cls, seq_in.patches
+    # unchecked, a bad input gives a NaN sbar or is blamed on layer 0
+    _check_finite(cls, "the input CLS token")
+    finite = np.isfinite(patches).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(
+            f"the input patch token row {finite.argmin()} is not finite")
+
+    _keep_temporaries_on_heap()
     sizes = np.ones(patches.shape[0], dtype=np.int64)
     trace = RunTrace(merging=cfg.schedule is not None)
 
@@ -310,9 +313,9 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
     """Forward each [N, d] image with a zero CLS token; returns one
     (logits, trace) per image, in image order.
 
-    A forward that turns non-finite raises NonFiniteError naming the
-    first non-finite weight, or, when every weight is finite, the image
-    and the layer.
+    A non-finite image raises NonFiniteError naming the image and its
+    first bad token row; a forward that turns non-finite, the first bad
+    weight or, when every weight is finite, the image and the layer.
     """
     d = weights.dims.d
     results = []
@@ -322,6 +325,8 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
         try:
             results.append(forward_model(seq, weights, cfg))
         except NonFiniteError as e:
+            if not np.isfinite(seq.patches).all():  # no weight is to blame
+                raise NonFiniteError(f"on image {i} {e}") from None
             raise NonFiniteError(_first_nonfinite_weight(weights) or
                                  f"every weight is finite, but on image {i} {e}") from None
     return results

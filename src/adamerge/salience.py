@@ -1,19 +1,11 @@
 # Per-token salience as feature-affinity centrality: column sums of the
 # row-softmaxed token affinity matrix, min-max normalized to [0, 1].
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numeric import matmul, row_softmax
 
 DEGENERATE_RANGE = 1e-9
-
-
-@dataclass(frozen=True)
-class SalienceVector:
-    raw: np.ndarray         # column sums; sums to N over the sequence
-    normalized: np.ndarray  # min-max rescaled into [0, 1]
 
 
 def compute_salience(x: np.ndarray) -> np.ndarray:
@@ -41,6 +33,7 @@ def minmax_normalize(raw: np.ndarray) -> np.ndarray:
     return np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
 
 
-def salience_of(x: np.ndarray) -> SalienceVector:
+def salience_of(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(raw, normalized): compute_salience and its minmax_normalize."""
     raw = compute_salience(x)
-    return SalienceVector(raw=raw, normalized=minmax_normalize(raw))
+    return raw, minmax_normalize(raw)

@@ -328,9 +328,11 @@ class TestViz:
     def test_merge_map_bytes_are_pinned(self, workspace, tmp_path, method,
                                         flag, value):
         out_csv, out_svg = tmp_path / "viz.csv", tmp_path / "viz.svg"
+        # only the adaptive run reads stats; a fixed r given them exits 2
+        stats = ["--stats", workspace["stats"]] if flag == "--r-max" else []
         assert main(["viz", "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--method", method, flag, value,
-                     "--stats", workspace["stats"], "--out-csv", str(out_csv),
+                     *stats, "--out-csv", str(out_csv),
                      "--out-svg", str(out_svg)]) == 0
         got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in (out_csv, out_svg))
@@ -854,6 +856,64 @@ class TestSalienceOfStats:
         assert capsys.readouterr().err == (
             f"error: {bad}: unsupported stats version {version!r} (this build "
             "reads version 2; re-run `adamerge calibrate`)\n")
+
+
+class TestUnreadStats:
+    # stats that no run reads would leave the schedule they hold unapplied
+    # with exit 0; the model, salience and r/r_max checks come first
+    FIXED = ("no run reads these stats, since a fixed r and method none read "
+             "none; leave this --stats out\n")
+
+    @pytest.mark.parametrize("command", ["run", "viz"])
+    @pytest.mark.parametrize("argv", [
+        ["--method", "tome", "--r", "2"], ["--method", "adamerge", "--r", "0"],
+        ["--method", "none"]], ids=["tome-r", "adamerge-r", "none"])
+    def test_run_and_viz_name_the_unread_file(self, workspace, tmp_path, capsys,
+                                              command, argv):
+        out = tmp_path / "out.csv"
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], *argv, "--stats", workspace["stats"],
+                     "--out-csv", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {workspace['stats']}: {self.FIXED}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "viz"])
+    def test_run_and_viz_name_a_second_file(self, workspace, tome_stats,
+                                            capsys, command):
+        # a second --stats used to replace the first without a word
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--method", "adamerge", "--stats",
+                     tome_stats, "--stats", workspace["stats"]]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {tome_stats}: no run reads these stats, since no adaptive "
+            "run has their salience=False; leave this --stats out\n"))
+
+    def test_compare_of_fixed_configs_names_the_file(self, workspace, tmp_path,
+                                                     capsys):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "none", "--config",
+                     "tome:r=3", "--config", "adamerge:r=2",
+                     "--stats", workspace["stats"], "--out-csv", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {workspace['stats']}: {self.FIXED}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["unread-last", "unread-first"])
+    def test_compare_names_the_unread_second_file(self, workspace, tome_stats,
+                                                  tmp_path, capsys, order):
+        files = [workspace["stats"], tome_stats]
+        if order == "unread-first":
+            files.reverse()
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "adamerge:r_max=6",
+                     "--config", "tome:r=3",
+                     *(a for path in files for a in ("--stats", path)),
+                     "--out-csv", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {tome_stats}: no run reads these stats, since no adaptive "
+            "run has their salience=False; leave this --stats out\n"))
+        assert not out.exists()
 
 
 class TestRejectedArchives:

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+import adamerge
 from adamerge.cli import METHOD_ALIASES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -43,6 +44,13 @@ def test_library_module_knows_no_method_name(module):
         elif isinstance(node, ast.Constant):
             assert node.value not in METHOD_ALIASES, \
                 f"{module} spells method name {node.value!r} (line {node.lineno})"
+
+
+def test_every_exported_name_exists():
+    # a deleted class or constant must not linger in the package's exports
+    missing = [name for name in adamerge.__all__ if not hasattr(adamerge, name)]
+    assert not missing, missing
+    assert len(set(adamerge.__all__)) == len(adamerge.__all__)
 
 
 def test_no_module_starts_threads_or_processes():

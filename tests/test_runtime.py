@@ -251,6 +251,34 @@ class TestNonFinite:
             run_images(weights, [image], fixed_cfg("none", 0))
 
 
+    @pytest.mark.parametrize("cfg", [
+        lambda w: RunConfig(salience=True, schedule=flat_stats(w)),
+        lambda w: fixed_cfg("tome", 3), lambda w: fixed_cfg("none", 0)],
+        ids=["adaptive", "fixed", "none"])
+    def test_non_finite_input_names_the_token_row(self, weights, image, cfg):
+        # the adaptive run used to fail converting a NaN sbar to an int, and
+        # the others blamed the output of layer 0
+        cfg = cfg(weights)
+        bad = image.copy()
+        bad[3, 2] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^the input patch token "
+                           r"row 3 is not finite$"):
+            forward_model(make_seq(bad), weights, cfg)
+        seq = make_seq(image)
+        seq.cls = np.full(16, np.inf, dtype=np.float32)
+        with pytest.raises(NonFiniteError,
+                           match=r"^the input CLS token is not finite$"):
+            forward_model(seq, weights, cfg)
+        with pytest.raises(NonFiniteError, match=r"^on image 1 the input patch "
+                           r"token row 3 is not finite$"):
+            run_images(weights, [image, bad], cfg)
+        # a bad input is named even where a weight is non-finite too
+        weights.blocks[0].w_fc1[0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^on image 0 the input patch "
+                           r"token row 3 is not finite$"):
+            run_images(weights, [bad], cfg)
+
+
 class TestSalienceOnlyWhenRead:
     @pytest.fixture
     def calls(self, monkeypatch):

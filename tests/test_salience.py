@@ -57,7 +57,10 @@ class TestMinmaxNormalize:
 
 
 def test_salience_of_bundles_both():
-    sal = salience_of(rnd((6, 4), 6))
-    assert len(sal.raw) == 6
-    assert np.all((sal.normalized >= 0) & (sal.normalized <= 1))
-    assert sal.raw.sum() == pytest.approx(6.0, abs=1e-4)
+    x = rnd((6, 4), 6)
+    raw, normalized = salience_of(x)
+    assert raw.tobytes() == compute_salience(x).tobytes()
+    assert normalized.tobytes() == minmax_normalize(raw).tobytes()
+    assert len(raw) == 6
+    assert np.all((normalized >= 0) & (normalized <= 1))
+    assert raw.sum() == pytest.approx(6.0, abs=1e-4)
