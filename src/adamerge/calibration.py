@@ -36,14 +36,14 @@ def fit_stats(samples: np.ndarray, *, model_id: str, r_max: int,
     """Per-layer mean and population (1/n) standard deviation.
 
     Sigma is floored at SIGMA_FLOOR so degenerate calibration sets stay
-    usable. alpha is the one gain: temperature stays 1.0. `salience` is
-    the setting the samples were collected under.
+    usable. alpha is the one gain: temperature keeps its default 1.0.
+    `salience` is the setting the samples were collected under.
     """
     samples = np.asarray(samples, dtype=np.float64)
     mu = samples.mean(axis=1)
     sigma = np.maximum(samples.std(axis=1), SIGMA_FLOOR)
     return LayerStats(model_id=model_id, mu=mu, sigma=sigma, r_max=r_max,
-                      alpha=alpha, temperature=1.0, passes=passes,
+                      alpha=alpha, passes=passes,
                       calibration_size=samples.shape[1], salience=salience)
 
 

@@ -43,17 +43,15 @@ def method_salience(method: str) -> bool:
 
 
 def build_run_config(method: str, *, r: int | None = None,
-                     r_max: int | None = None, stats=None,
-                     stats_path: str | None = None,
-                     track_maps: bool = False) -> RunConfig:
+                     r_max: int | None = None, stats=None) -> RunConfig:
     """Resolve a method name and CLI-style options into a RunConfig.
 
     A merging method runs a fixed schedule of r merges per layer when r
     is given, and otherwise the calibrated stats as an adaptive one;
-    stats must have been calibrated with the method's salience setting.
+    RunConfig rejects stats calibrated with another salience setting.
     An r_max left at None is the stats' own; a given one overrides it,
-    with a warning when they differ, and is an error next to r. alpha and temperature are always
-    the stats' own. `stats_path` names the stats in errors.
+    with a warning when they differ, and is an error next to r. alpha
+    and temperature are always the stats' own.
     """
     salience = method_salience(method)
     if method == "none":
@@ -67,7 +65,7 @@ def build_run_config(method: str, *, r: int | None = None,
             raise ValueError(
                 f"method {method} takes r for a fixed schedule or r_max for an "
                 f"adaptive one, not both (got r={r}, r_max={r_max})")
-        return RunConfig(salience=salience, schedule=r, track_maps=track_maps)
+        return RunConfig(salience=salience, schedule=r)
     if stats is None:
         raise ValueError(
             f"method {method} needs --r for a fixed schedule or --stats for "
@@ -77,12 +75,7 @@ def build_run_config(method: str, *, r: int | None = None,
     if sched.r_max != stats.r_max:
         print(f"warning: r_max={r_max} differs from the stats' "
               f"r_max={stats.r_max}", file=sys.stderr)
-    try:
-        return RunConfig(salience=salience, schedule=sched, track_maps=track_maps)
-    except ValueError as e:  # the stats' salience is not the method's
-        raise ValueError(
-            f"{stats_path or 'stats'}: {e} (method {method}); run `adamerge "
-            f"calibrate --method {method}` for stats of this method") from None
+    return RunConfig(salience=salience, schedule=sched)
 
 
 def _load_inputs(args):
@@ -225,53 +218,43 @@ def parse_config_spec(spec: str):
     return method, opts
 
 
-def _stats_of_method(method, given):
-    """(path, stats) of the given `--stats` files for an adaptive run of
-    `method`: the one calibrated with its salience. A single file is
-    taken as it is, so that build_run_config names any mismatch."""
-    if len(given) <= 1:
-        return given[0] if given else (None, None)
-    salience = method_salience(method)
-    match = [(path, stats) for path, stats in given if stats.salience == salience]
-    if len(match) > 1:
-        raise ValueError(
-            f"{match[0][0]} and {match[1][0]} were both calibrated with "
-            f"salience={salience}; give one --stats per salience setting")
-    if not match:
-        raise ValueError(
-            f"none of the stats {', '.join(path for path, _ in given)} was "
-            f"calibrated with salience={salience} (method {method}); run "
-            f"`adamerge calibrate --method {method}` for stats of this method")
-    return match[0]
-
-
-def _resolve_configs(args, weights, track_maps=False):
+def _resolve_configs(args, weights):
     """(label, method, RunConfig) of every run of a command, all resolved
     before the first one runs: each --config of compare, or the --method,
-    --r and --r-max of run and viz. An adaptive run reads the --stats
-    file calibrated with its method's salience; a file that no run reads
-    is an error, since its schedule would silently not apply."""
+    --r and --r-max of run and viz. Each adaptive run reads the one
+    --stats file calibrated with its method's salience; a file that no
+    run reads is an error, since its schedule would silently not apply."""
     if hasattr(args, "config"):
         runs = [(spec, *parse_config_spec(spec)) for spec in args.config]
     else:
         runs = [(args.method, args.method, {"r": args.r, "r_max": args.r_max})]
-    given = []
+    given = {}  # salience -> (path, stats)
     for path in args.stats or ():
         stats = calibration.load_stats(path)
         if stats.model_id != weights.model_id:
             raise ValueError(
                 f"{path}: stats were calibrated on model {stats.model_id!r}, "
                 f"but the weights are model {weights.model_id!r}")
-        given.append((path, stats))
+        if stats.salience in given:
+            raise ValueError(f"{given[stats.salience][0]} and {path} were both "
+                             f"calibrated with salience={stats.salience}; give "
+                             "one --stats per salience setting")
+        given[stats.salience] = (path, stats)
 
     resolved, read = [], set()
     for label, method, opts in runs:
         adaptive = method != "none" and opts.get("r") is None
-        path, stats = _stats_of_method(method, given) if adaptive else (None, None)
-        resolved.append((label, method, build_run_config(
-            method, stats=stats, stats_path=path, track_maps=track_maps, **opts)))
+        salience = method_salience(method)
+        if adaptive and given and salience not in given:  # one file, the other's
+            [(path, stats)] = given.values()
+            raise ValueError(
+                f"{path}: stats were calibrated with salience={stats.salience}, "
+                f"but the run has salience={salience} (method {method}); run "
+                f"`adamerge calibrate --method {method}` for stats of this method")
+        path, stats = given.get(salience, (None, None)) if adaptive else (None, None)
+        resolved.append((label, method, build_run_config(method, stats=stats, **opts)))
         read.add(path)
-    for path, stats in given:
+    for path, stats in given.values():
         if path not in read:
             why = (f"no adaptive run has their salience={stats.salience}"
                    if read - {None} else "a fixed r and method none read none")
@@ -313,7 +296,8 @@ def cmd_viz(args) -> int:
         raise ValueError(
             f"image index {args.image_index} out of range (dataset has "
             f"{len(images)} images)")
-    [(_, _, cfg)] = _resolve_configs(args, weights, track_maps=True)
+    [(_, _, cfg)] = _resolve_configs(args, weights)
+    cfg = dataclasses.replace(cfg, track_maps=True)
     [(_, trace)] = run_images(weights, [images[args.image_index]], cfg)
     n_tokens = images.shape[1]
     if args.out_svg:

@@ -51,7 +51,10 @@ def fixed_schedule_lengths(n_patch0: int, r: int, layers: int) -> list:
     Layer 0 is charged at the full input length; merges at layer l show
     up in the cost of layer l+1 onward. This matches the reduction-table
     convention of ToMe-style accounting, where merging happens after a
-    layer's attention.
+    layer's attention. This runtime merges before each block, so block l
+    executes on 1 + n0 - r*(l+1) tokens: for r=8 at N=196, L=12 the table
+    claims a 27.6% reduction where the blocks execute 32.3% less at d=64,
+    and 23.0% against 27.1% at ViT-B dims (d=768, d_ff=3072).
     """
     return [max(n_patch0 - r * l, 0) + 1 for l in range(layers)]
 
@@ -61,7 +64,8 @@ def trace_flops(trace, dims) -> FlopsReport:
 
     Each layer is charged at the sequence length entering its merge step
     (patches + CLS), so a fixed-r run reproduces the
-    N_l = 1 + n0 - r*l schedule of fixed_schedule_lengths.
+    N_l = 1 + n0 - r*l schedule of fixed_schedule_lengths; each block then
+    executes on the n_after + 1 tokens that leave its merge step.
     """
     total = 0
     overhead = 0

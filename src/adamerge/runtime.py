@@ -145,14 +145,19 @@ class RunConfig:
     track_maps: bool = False
 
     def __post_init__(self):
-        if isinstance(self.schedule, (int, np.integer)) and self.schedule < 0:
-            raise ValueError(
-                f"fixed merge count r must be >= 0, got r={self.schedule}")
-        if isinstance(self.schedule, LayerStats) and \
-                self.schedule.salience != self.salience:
-            raise ValueError(
-                f"stats were calibrated with salience={self.schedule.salience}, "
-                f"but the run has salience={self.salience}")
+        for name in ("salience", "track_maps"):
+            v = getattr(self, name)
+            if not isinstance(v, bool):
+                raise ValueError(f"{name} must be true or false, got {name}={v!r}")
+        sched = self.schedule
+        if isinstance(sched, LayerStats):
+            if sched.salience != self.salience:
+                raise ValueError(
+                    f"stats were calibrated with salience={sched.salience}, "
+                    f"but the run has salience={self.salience}")
+        elif sched is not None and not (_is_int(sched) and sched >= 0):
+            raise ValueError(f"schedule must be None, LayerStats or a fixed "
+                             f"merge count r >= 0, got r={sched!r}")
 
 
 class NonFiniteError(ValueError):
@@ -273,7 +278,7 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
         raise ValueError(
             f"stats cover {stats.num_layers} layers, model has {dims.layers}")
 
-    cls, patches = seq_in.cls, seq_in.patches
+    cls, patches = seq_in.cls, seq_in.patches.view()  # made read-only below
     # unchecked, a bad input gives a NaN sbar or is blamed on layer 0
     _check_finite(cls, "the input CLS token")
     finite = np.isfinite(patches).all(axis=1)
@@ -290,6 +295,8 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
             rec = LayerRecord(layer=l, n_before=patches.shape[0],
                               n_after=patches.shape[0], r=0, sbar=0.0, z=0.0)
         else:
+            # the merge step writes to none of its arguments, by construction
+            patches.flags.writeable = sizes.flags.writeable = False
             pre = _digest(cls)
             patches, sizes, rec = _merge_step(patches, sizes, l, cfg)
             rec.cls_digest_pre = pre

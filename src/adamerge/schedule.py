@@ -53,9 +53,9 @@ class LayerStats:
     sigma: np.ndarray
     r_max: int
     alpha: float        # gain on the z-score inside the sigmoid
-    temperature: float  # z <- z / T; smaller T sharpens the decision
     passes: int
     calibration_size: int
+    temperature: float = 1.0  # z <- z / T; smaller T sharpens the decision
     salience: bool = True  # the run setting the proxies were collected under
 
     def __post_init__(self):

@@ -828,18 +828,29 @@ class TestSalienceOfStats:
             f"error: {workspace['stats']} and {copy} were both calibrated with "
             "salience=True; give one --stats per salience setting\n")
 
-    def test_compare_config_no_stats_match_names_the_files(
+    def test_compare_on_two_stats_of_the_other_salience_names_both(
             self, workspace, tome_stats, tmp_path, capsys):
+        # two files of one salience are rejected as they are loaded, before
+        # any config is resolved
         copy = str(shutil.copy(tome_stats, tmp_path / "copy.json"))
-        # fixed configs read no stats, so only the adaptive one fails
         assert main(["compare", "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--config", "tome:r=3",
                      "--config", "adamerge:r_max=6", "--config", "none",
                      "--stats", tome_stats, "--stats", copy]) == 2
         assert capsys.readouterr().err == (
-            f"error: none of the stats {tome_stats}, {copy} was calibrated "
-            "with salience=True (method adamerge); run `adamerge calibrate "
-            "--method adamerge` for stats of this method\n")
+            f"error: {tome_stats} and {copy} were both calibrated with "
+            "salience=False; give one --stats per salience setting\n")
+
+    def test_two_stats_of_one_salience_beside_fixed_configs_name_both(
+            self, workspace, tmp_path, capsys):
+        copy = str(shutil.copy(workspace["stats"], tmp_path / "copy.json"))
+        assert main(["compare", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "tome:r=3",
+                     "--config", "none", "--stats", workspace["stats"],
+                     "--stats", copy]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {workspace['stats']} and {copy} were both calibrated with "
+            "salience=True; give one --stats per salience setting\n")
 
     @pytest.mark.parametrize("version", [True, 1, 2.0, "2"],
                              ids=["true", "1", "2.0", "str-2"])

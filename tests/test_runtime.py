@@ -145,6 +145,20 @@ class TestForwardModel:
                    zip((seq.cls, seq.patches), arrays))
         assert [a.tobytes() for a in arrays] == before
 
+    @pytest.mark.parametrize("arg", [0, 2], ids=["patches", "sizes"])
+    def test_merge_step_cannot_write_its_tokens(self, model, image, monkeypatch,
+                                                arg):
+        import adamerge.runtime as rt
+        real = rt.execute_merge
+
+        def writing(*args):
+            args[arg][0] = 0
+            return real(*args)
+
+        monkeypatch.setattr(rt, "execute_merge", writing)
+        with pytest.raises(ValueError, match="read-only"):
+            forward_model(make_seq(image), model, fixed_cfg("tome", 3))
+
     def test_cls_untouched_by_merge(self, model, image):
         _, trace = forward_model(make_seq(image), model,
                                  fixed_cfg("adamerge", 4))
@@ -175,6 +189,26 @@ class TestForwardModel:
         with pytest.raises(ValueError, match="r=-1"):
             RunConfig(salience=False, schedule=-1)
         assert RunConfig(salience=False, schedule=0).schedule == 0
+        assert RunConfig(salience=False, schedule=np.int64(3)).schedule == 3
+
+    # a bool schedule used to run r=1 at every layer, a float one failed
+    # inside select_merges and a string one on a str/int comparison
+    @pytest.mark.parametrize("field,value,why", [
+        ("schedule", True, "schedule must be None, LayerStats or a fixed "
+         "merge count r >= 0, got r=True"),
+        ("schedule", 2.0, "schedule must be None, LayerStats or a fixed "
+         "merge count r >= 0, got r=2.0"),
+        ("schedule", "3", "schedule must be None, LayerStats or a fixed "
+         "merge count r >= 0, got r='3'"),
+        ("salience", 1, "salience must be true or false, got salience=1"),
+        ("salience", None, "salience must be true or false, got salience=None"),
+        ("track_maps", np.bool_(True),
+         f"track_maps must be true or false, got track_maps={np.bool_(True)!r}")],
+        ids=["schedule-bool", "schedule-float", "schedule-str", "salience-int",
+             "salience-none", "track_maps-numpy-bool"])
+    def test_bad_field_rejected(self, field, value, why):
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+            RunConfig(**{"salience": False, field: value})
 
     @pytest.mark.parametrize("salience", [True, False])
     def test_stats_of_the_other_salience_rejected(self, model, salience):

@@ -100,6 +100,11 @@ class TestTemperature:
 
 
 class TestValidation:
+    def test_temperature_defaults_to_one(self):
+        stats = LayerStats(model_id="t", mu=np.zeros(2), sigma=np.ones(2),
+                           r_max=4, alpha=1.0, passes=1, calibration_size=4)
+        assert stats.temperature == 1.0
+
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             dataclasses.replace(make_stats(), r_max=4, temperature=0.0)

@@ -75,11 +75,11 @@ def configs(stats):
             continue
         for maps in (False, True):
             for r in FIXED_R:
-                yield (f"{method}:r={r}:maps={int(maps)}",
-                       build_run_config(method, r=r, track_maps=maps))
-            yield (f"{method}:r_max={R_MAX}:maps={int(maps)}",
-                   build_run_config(method, r_max=R_MAX, stats=stats[salience],
-                                    track_maps=maps))
+                yield (f"{method}:r={r}:maps={int(maps)}", dataclasses.replace(
+                    build_run_config(method, r=r), track_maps=maps))
+            yield (f"{method}:r_max={R_MAX}:maps={int(maps)}", dataclasses.replace(
+                build_run_config(method, r_max=R_MAX, stats=stats[salience]),
+                track_maps=maps))
 
 
 def trace_digest(trace, skip):
