@@ -13,8 +13,8 @@ from .archive import read_json
 from .runtime import ModelWeights, RunConfig, run_images
 from .schedule import SIGMA_FLOOR, LayerStats, _is_int, check_schedule
 
-# version 2 added the salience setting the stats were calibrated with
-STATS_VERSION = 2
+# version 2 added the calibration's salience setting; 3 dropped temperature
+STATS_VERSION = 3
 # stats.json holds every LayerStats field plus these two file-level ones
 _FIELDS = tuple(f.name for f in dataclasses.fields(LayerStats))
 _STATS_KEYS = {"version", "num_layers", *_FIELDS}
@@ -36,7 +36,7 @@ def fit_stats(samples: np.ndarray, *, model_id: str, r_max: int,
     """Per-layer mean and population (1/n) standard deviation.
 
     Sigma is floored at SIGMA_FLOOR so degenerate calibration sets stay
-    usable. alpha is the one gain: temperature keeps its default 1.0.
+    usable. alpha is the schedule's one gain.
     `salience` is the setting the samples were collected under.
     """
     samples = np.asarray(samples, dtype=np.float64)
@@ -55,7 +55,7 @@ def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     # a bad value fails before any forward pass
-    check_schedule(r_max, alpha, temperature=1.0)
+    check_schedule(r_max, alpha)
     images = list(images)
     cfg = RunConfig(salience=salience, schedule=r_max // 2)
     for p in range(passes):
@@ -97,6 +97,8 @@ def load_stats(path: str) -> LayerStats:
         raise ValueError(f"{path}: missing fields {sorted(missing)}")
     try:
         n = doc["num_layers"]
+        if not _is_int(n):
+            raise ValueError(f"num_layers must be an integer, got num_layers={n!r}")
         if any(not isinstance(doc[k], list) or len(doc[k]) != n
                for k in ("mu", "sigma")):
             raise ValueError(f"mu and sigma must be lists of num_layers = {n}")

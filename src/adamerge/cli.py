@@ -51,7 +51,7 @@ def build_run_config(method: str, *, r: int | None = None,
     RunConfig rejects stats calibrated with another salience setting.
     An r_max left at None is the stats' own; a given one overrides it,
     with a warning when they differ, and is an error next to r. alpha
-    and temperature are always the stats' own.
+    is always the stats' own.
     """
     salience = method_salience(method)
     if method == "none":
@@ -330,6 +330,12 @@ def make_parser() -> _Parser:
                      description="Token-merging bench tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def with_inputs(name, **kw):  # a command that reads weights and a dataset
+        p = sub.add_parser(name, **kw)
+        p.add_argument("--weights", required=True)
+        p.add_argument("--dataset", required=True)
+        return p
+
     p = sub.add_parser("synth", help="generate a synthetic token dataset")
     p.add_argument("--images", type=int, required=True)
     p.add_argument("--tokens", type=int, required=True)
@@ -350,9 +356,7 @@ def make_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth_weights)
 
-    p = sub.add_parser("calibrate", help="fit per-layer (mu, sigma) stats")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--dataset", required=True)
+    p = with_inputs("calibrate", help="fit per-layer (mu, sigma) stats")
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--passes", type=int, default=2)
@@ -360,17 +364,13 @@ def make_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("run", help="run one method over a dataset")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--dataset", required=True)
+    p = with_inputs("run", help="run one method over a dataset")
     _add_schedule_flags(p)
     p.add_argument("--labels", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", help="compare configurations")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--dataset", required=True)
+    p = with_inputs("compare", help="compare configurations")
     p.add_argument("--config", action="append", required=True,
                    help="e.g. tome:r=8 or adamerge:r_max=23")
     p.add_argument("--stats", action="append",
@@ -381,9 +381,7 @@ def make_parser() -> _Parser:
     p.add_argument("--out-svg", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("viz", help="emit a per-layer merge map")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--dataset", required=True)
+    p = with_inputs("viz", help="emit a per-layer merge map")
     p.add_argument("--image-index", type=int, default=0)
     _add_schedule_flags(p)
     p.add_argument("--out-svg", default=None)

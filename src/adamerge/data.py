@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from .archive import ArchiveError, load_archive, save_archive
+from .schedule import _is_int
 
 PROTOTYPE_NOISE = 0.05
 MAX_PROTOTYPES = 4
@@ -26,6 +27,8 @@ def synth_images(n_images: int, n_tokens: int, dim: int, redundancy: float,
     if not 1 <= k_prototypes <= MAX_PROTOTYPES:
         raise ValueError(
             f"k_prototypes must be in [1, {MAX_PROTOTYPES}], got {k_prototypes}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got seed={seed!r}")
     rng = np.random.default_rng(seed)
     images = np.empty((n_images, n_tokens, dim), dtype=np.float32)
     for i in range(n_images):

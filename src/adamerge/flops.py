@@ -67,14 +67,11 @@ def trace_flops(trace, dims) -> FlopsReport:
     N_l = 1 + n0 - r*l schedule of fixed_schedule_lengths; each block then
     executes on the n_after + 1 tokens that leave its merge step.
     """
-    total = 0
-    overhead = 0
-    baseline = 0
     n0 = trace.layers[0].n_before if trace.layers else 0
+    baseline = len(trace.layers) * block_flops(n0 + 1, dims.d, dims.d_ff)
+    total = overhead = 0
     for rec in trace.layers:
-        n_block = rec.n_before + 1  # pre-merge patches + CLS
-        total += block_flops(n_block, dims.d, dims.d_ff)
-        baseline += block_flops(n0 + 1, dims.d, dims.d_ff)
+        total += block_flops(rec.n_before + 1, dims.d, dims.d_ff)  # patches + CLS
         if trace.merging:
             overhead += merge_overhead_flops(
                 rec.n_before, dims.d, rec.raw_salience_sum is not None)

@@ -370,6 +370,8 @@ def _assemble(dims: ModelDims, tensors: dict, model_id: str) -> ModelWeights:
 
 def synth_weights(seed: int, dims: ModelDims) -> ModelWeights:
     """Seed-deterministic gaussian init (std 0.02, zero biases, unit LN)."""
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got seed={seed!r}")
     rng = np.random.default_rng(seed)
     tensors = {}
     for name, shape in _weight_shapes(dims):
@@ -384,13 +386,10 @@ def synth_weights(seed: int, dims: ModelDims) -> ModelWeights:
 
 def _weight_tensors(weights: ModelWeights) -> dict:
     """archive name -> tensor of every weight, in archive order."""
-    tensors = {}
-    for l, blk in enumerate(weights.blocks):
-        for name in BLOCK_LAYOUT:
-            tensors[f"block{l:02d}.{name}"] = getattr(blk, name)
-    for name, (fld, _) in HEAD_LAYOUT.items():
-        tensors[name] = getattr(weights, fld)
-    return tensors
+    blocks = {f"block{l:02d}.{name}": getattr(blk, name)
+              for l, blk in enumerate(weights.blocks) for name in BLOCK_LAYOUT}
+    return blocks | {name: getattr(weights, fld)
+                     for name, (fld, _) in HEAD_LAYOUT.items()}
 
 
 def save_weights(weights: ModelWeights, path: str) -> None:

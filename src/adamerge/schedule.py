@@ -3,7 +3,7 @@
 # squashed through a sigmoid to pick r in [0, r_max].
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -27,19 +27,16 @@ def _is_finite(v) -> bool:
         return False
 
 
-def check_schedule(r_max, alpha, temperature) -> None:
+def check_schedule(r_max, alpha) -> None:
     """Raise ValueError, naming the field, unless the adaptive schedule
-    r = floor(r_max * sigmoid(alpha * z / T)) is well defined."""
+    r = floor(r_max * sigmoid(alpha * z)) is well defined."""
     if not _is_int(r_max) or r_max < 0:
         raise ValueError(f"r_max must be an integer >= 0, got r_max={r_max!r}")
-    for name, v in (("r_max", r_max), ("alpha", alpha),
-                    ("temperature", temperature)):
+    for name, v in (("r_max", r_max), ("alpha", alpha)):
         if not _is_real(v):
             raise ValueError(f"{name} must be a real number, got {name}={v!r}")
         if not _is_finite(v):
             raise ValueError(f"{name} must be finite, got {name}={v}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
 
 
 @dataclass
@@ -55,11 +52,14 @@ class LayerStats:
     alpha: float        # gain on the z-score inside the sigmoid
     passes: int
     calibration_size: int
-    temperature: float = 1.0  # z <- z / T; smaller T sharpens the decision
+    temperature: InitVar[float] = 1.0  # init-only: 1.0 (z / 1.0 == z) still runs
     salience: bool = True  # the run setting the proxies were collected under
 
-    def __post_init__(self):
-        check_schedule(self.r_max, self.alpha, self.temperature)
+    def __post_init__(self, temperature):
+        if temperature != 1.0 or isinstance(temperature, bool):
+            raise ValueError("temperature is no longer a schedule setting: alpha is the "
+                             f"one gain (use alpha / T), got temperature={temperature!r}")
+        check_schedule(self.r_max, self.alpha)
         if not isinstance(self.salience, bool):
             raise ValueError(f"salience must be true or false, got "
                              f"salience={self.salience!r}")
@@ -105,8 +105,7 @@ def zscore(sbar: float, stats: LayerStats, layer: int) -> float:
     if layer >= stats.num_layers:
         raise ValueError(
             f"layer {layer} out of range for {stats.num_layers}-layer stats")
-    z = (sbar - stats.mu[layer]) / stats.sigma[layer]
-    return float(z / stats.temperature)
+    return float((sbar - stats.mu[layer]) / stats.sigma[layer])
 
 
 def r_from_z(z: float, stats: LayerStats) -> int:

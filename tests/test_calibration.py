@@ -107,12 +107,13 @@ class TestRefine:
             calibration.refine(small_model, cal_images, r_max=6, passes=0)
 
     # pinned stats.json bytes of refine(r_max=6, passes=2) at each
-    # salience setting
+    # salience setting; version 3's are version 2's without the
+    # temperature line
     @pytest.mark.parametrize("salience,digest", [
-        (True, "42fa56fa032e6e50c1e2a1d7ed3d4ebe"
-               "bb23b816b124217578df93dc7d22b4fe"),
-        (False, "234f7e828e8c85380fbbf59f07f6be4e"
-                "9eb6beabe1e91ed0b5a85be8a50bc38f")], ids=["on", "off"])
+        (True, "fdae649e3c85081ed0d83810e0a10693"
+               "87313072ee25f1dcd128a8126ddd2b43"),
+        (False, "79a413d472627a7eb1c9369c4ffd478d"
+                "8b7a8e5f95599944016237e9064b7537")], ids=["on", "off"])
     def test_two_pass_bytes_are_pinned(self, small_model, cal_images,
                                        tmp_path, salience, digest):
         p = tmp_path / "stats.json"
@@ -133,7 +134,7 @@ class TestPersistence:
     def make_stats(self):
         return LayerStats(model_id="m", mu=np.linspace(0.2, 0.5, 12),
                           sigma=np.full(12, 0.05), r_max=9, alpha=1.0,
-                          temperature=1.0, passes=2, calibration_size=64)
+                          passes=2, calibration_size=64)
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "stats.json"
@@ -154,11 +155,11 @@ class TestPersistence:
         p = tmp_path / "stats.json"
         calibration.save_stats(self.make_stats(), p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == \
-            "9a4b92c010eb86059afa1b2329cab65367a306fe22ffdedced7ea510c5ae7f3c"
+            "df41d6f7692cce9a87567ab0c59a506fa770bd10cff59cb3fffd7d9a8640ff3b"
 
     def test_golden_fixture(self, tmp_path):
-        doc = {"version": 2, "model_id": "vit-b16-test", "num_layers": 12,
-               "r_max": 23, "alpha": 1.0, "temperature": 0.5, "passes": 2,
+        doc = {"version": 3, "model_id": "vit-b16-test", "num_layers": 12,
+               "r_max": 23, "alpha": 0.5, "passes": 2,
                "calibration_size": 128, "salience": False,
                "mu": [0.1 * (i + 1) for i in range(12)],
                "sigma": [0.01] * 12}
@@ -167,12 +168,12 @@ class TestPersistence:
         stats = calibration.load_stats(p)
         assert stats.num_layers == 12
         assert stats.model_id == "vit-b16-test"
-        assert stats.temperature == 0.5
+        assert stats.alpha == 0.5
         assert stats.salience is False
 
     def _corrupt(self, tmp_path, **patch):
-        doc = {"version": 2, "model_id": "m", "num_layers": 2, "r_max": 4,
-               "alpha": 1.0, "temperature": 1.0, "passes": 2,
+        doc = {"version": 3, "model_id": "m", "num_layers": 2, "r_max": 4,
+               "alpha": 1.0, "passes": 2,
                "calibration_size": 8, "salience": True, "mu": [0.1, 0.2],
                "sigma": [0.1, 0.1]}
         doc.update(patch)
@@ -195,6 +196,16 @@ class TestPersistence:
     def test_version_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="version"):
             calibration.load_stats(self._corrupt(tmp_path, version=99))
+
+    # True == 1 and 1.0 == 1: a one-layer file loaded with either before
+    @pytest.mark.parametrize("n", [True, 1.0, "1", None],
+                             ids=["true", "1.0", "str-1", "null"])
+    def test_num_layers_must_be_an_integer(self, tmp_path, n):
+        p = self._corrupt(tmp_path, num_layers=n, mu=[0.1], sigma=[0.1])
+        with pytest.raises(ValueError) as err:
+            calibration.load_stats(p)
+        assert str(err.value) == \
+            f"{p}: num_layers must be an integer, got num_layers={n!r}"
 
     @pytest.mark.parametrize("field", ["mu", "sigma"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

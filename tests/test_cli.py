@@ -108,11 +108,25 @@ class TestSynth:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,sizes", [
+        ("synth", ["--images", "1", "--tokens", "4", "--dim", "2"]),
+        ("synth-weights", ["--dim", "4", "--heads", "1", "--d-ff", "4",
+                           "--layers", "1", "--classes", "2"])])
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_is_data_error(self, tmp_path, capsys, command,
+                                         sizes, seed):
+        out = tmp_path / "archive"
+        assert main([command, *sizes, "--seed", seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: seed must be an integer >= 0, got seed={seed}\n"
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_stats_schema(self, workspace):
         doc = json.loads(open(workspace["stats"]).read())
-        assert doc["version"] == 2
+        assert doc["version"] == 3
+        assert "temperature" not in doc  # alpha is the one gain
         assert doc["salience"] is True  # calibrated for adamerge, the default
         assert doc["num_layers"] == 4
         assert len(doc["mu"]) == 4 and len(doc["sigma"]) == 4
@@ -124,9 +138,8 @@ class TestCalibrate:
                      "--dataset", workspace["dataset"], "--r-max", "5",
                      "--alpha", "2", "--passes", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        # alpha is the one gain; temperature stays in the format at 1.0
-        assert (doc["r_max"], doc["alpha"], doc["temperature"], doc["passes"]) \
-            == (5, 2.0, 1.0, 1)
+        # alpha is the one gain
+        assert (doc["r_max"], doc["alpha"], doc["passes"]) == (5, 2.0, 1)
 
 
 class TestRun:
@@ -468,19 +481,15 @@ class TestRejectedSchedules:
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value,message", [
-        ("temperature", 0, "temperature must be > 0"),
         ("alpha", float("nan"), "alpha must be finite"),
         ("alpha", "x", "alpha must be a real number, got alpha='x'"),
-        ("temperature", None, "temperature must be a real number"),
-        ("alpha", [1.0], "alpha must be a real number"),
+        # the id it had when it was the fifth case
+        pytest.param("alpha", [1.0], "alpha must be a real number",
+                     id="alpha-value4-alpha must be a real number"),
         ("alpha", True, "alpha must be a real number"),
         # ints beyond float64's range are not finite; -2**70 is finite
         pytest.param("alpha", -10**400, "alpha must be finite",
                      id="alpha--10**400"),
-        pytest.param("temperature", 10**400, "temperature must be finite",
-                     id="temperature-10**400"),
-        pytest.param("temperature", -2**70, "temperature must be > 0",
-                     id="temperature--2**70"),
         pytest.param("r_max", 10**400, "r_max must be finite",
                      id="r_max-10**400"),
         ("r_max", -3, "r_max must be an integer >= 0"),
@@ -489,7 +498,11 @@ class TestRejectedSchedules:
         ("salience", 1, "salience must be true or false, got salience=1"),
         ("salience", None, "salience must be true or false"),
         ("passes", "two", "passes must be an integer >= 1"),
-        ("calibration_size", -1, "calibration_size must be an integer >= 1")])
+        ("calibration_size", -1, "calibration_size must be an integer >= 1"),
+        # version 3 dropped temperature; alpha is the one gain
+        pytest.param("temperature", 1.0,
+                     "unknown fields ['temperature'] (stats version 3)",
+                     id="temperature-key")])
     def test_bad_schedule_field_in_stats_is_data_error(
             self, workspace, tmp_path, capsys, field, value, message):
         doc = json.loads(open(workspace["stats"]).read())
@@ -666,31 +679,11 @@ class TestScheduleFromStats:
                      str(stats), "--out-csv", str(out)]) == 0
         return list(csv.DictReader(open(out)))
 
-    def test_temperature_from_the_file_divides_z(self, workspace, tmp_path):
-        # calibrate always writes temperature 1.0; a hand-written stats.json
-        # may set another, and r = floor(r_max * sigmoid(alpha * z)) with
-        # z = (sbar - mu) / sigma / T
-        runs = {t: self.run_csv(workspace, tmp_path, f"t{t}", alpha=1.5,
-                                temperature=t) for t in (0.5, 1.0)}
-        # layer 0 sees the same input and sbar whatever the schedule
-        z0 = [(float(a["z"]), float(b["z"]))
-              for a, b in zip(runs[0.5], runs[1.0]) if a["layer"] == "0"]
-        assert len(z0) == 8 and max(abs(z) for _, z in z0) > 0.1
-        for z_half, z_one in z0:
-            assert z_half == pytest.approx(2 * z_one, abs=2e-9)
-        for rows in runs.values():
-            for row in rows:
-                r = int(row["r"])
-                want = math.floor(6 / (1 + math.exp(-1.5 * float(row["z"]))))
-                assert r == want or (row["r_clamped"] == "1" and r < want), row
-
-    @pytest.mark.parametrize("field,value", [("alpha", -2**70),
-                                             ("temperature", 2**70)],
-                             ids=["alpha--2**70", "temperature-2**70"])
+    @pytest.mark.parametrize("field,value", [("alpha", -2**70)],
+                             ids=["alpha--2**70"])
     def test_huge_integer_runs_as_its_float_value(self, workspace, tmp_path,
                                                   field, value):
-        # both are finite float64 values: alpha saturates every r at 0 or
-        # r_max, and temperature puts every z near 0
+        # a finite float64 value: alpha saturates every r at 0 or r_max
         assert self.run_csv(workspace, tmp_path, "int", **{field: value}) == \
             self.run_csv(workspace, tmp_path, "float", **{field: float(value)})
 
@@ -852,11 +845,12 @@ class TestSalienceOfStats:
             f"error: {workspace['stats']} and {copy} were both calibrated with "
             "salience=True; give one --stats per salience setting\n")
 
-    @pytest.mark.parametrize("version", [True, 1, 2.0, "2"],
-                             ids=["true", "1", "2.0", "str-2"])
-    def test_version_must_be_the_integer_2(self, workspace, tmp_path, capsys,
+    @pytest.mark.parametrize("version", [True, 1, 2, 3.0, "3"],
+                             ids=["true", "1", "2", "3.0", "str-3"])
+    def test_version_must_be_the_integer_3(self, workspace, tmp_path, capsys,
                                            version):
-        # 1 is a file written before the stats recorded their salience
+        # 1 is a file written before the stats recorded their salience,
+        # 2 one that still held temperature
         doc = json.loads(open(workspace["stats"]).read())
         doc["version"] = version
         bad = tmp_path / "stats.json"
@@ -866,7 +860,7 @@ class TestSalienceOfStats:
                      str(bad)]) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}: unsupported stats version {version!r} (this build "
-            "reads version 2; re-run `adamerge calibrate`)\n")
+            "reads version 3; re-run `adamerge calibrate`)\n")
 
 
 class TestUnreadStats:

@@ -1,5 +1,7 @@
 # tools/digest.py proves bit identity between two checkouts by a diff of
 # its output, so its output must repeat byte for byte across processes.
+# tools/digest.txt pins that output at the default grid: a change that
+# moves a number regenerates the file, and says why.
 
 import os
 import subprocess
@@ -8,12 +10,22 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def digest(*args):
+def run_tool(*args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "digest.py"),
-         "--models", "d16", "--images", "2", *args],
+        [sys.executable, os.path.join(ROOT, "tools", "digest.py"), *args],
         env=env, check=True, capture_output=True).stdout
+
+
+def digest(*args):
+    return run_tool("--models", "d16", "--images", "2", *args)
+
+
+def test_output_matches_the_committed_digests():
+    # tools/digest.txt is `digest.py` followed by `digest.py --cli`
+    with open(os.path.join(ROOT, "tools", "digest.txt"), "rb") as f:
+        want = f.read().decode().splitlines()
+    assert (run_tool() + run_tool("--cli")).decode().splitlines() == want
 
 
 def test_cli_output_repeats_byte_for_byte():

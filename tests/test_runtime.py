@@ -81,8 +81,7 @@ def make_seq(image, d=16):
 def flat_stats(model, salience=True):
     return LayerStats(model_id=model.model_id, mu=np.zeros(4),
                       sigma=np.full(4, 0.1), r_max=6, alpha=1.0,
-                      temperature=1.0, passes=1, calibration_size=1,
-                      salience=salience)
+                      passes=1, calibration_size=1, salience=salience)
 
 
 class TestForwardModel:
@@ -116,8 +115,7 @@ class TestForwardModel:
                                               small, r_small):
         stats = LayerStats(model_id=model.model_id, mu=np.full(4, -10.0),
                            sigma=np.ones(4), r_max=200, alpha=1.0,
-                           temperature=1.0, passes=1, calibration_size=1,
-                           salience=False)
+                           passes=1, calibration_size=1, salience=False)
 
         def schedule(r):  # a fixed r, or the stats with r_max = r
             return dataclasses.replace(stats, r_max=r) if adaptive else r
@@ -164,6 +162,20 @@ class TestForwardModel:
                                  fixed_cfg("adamerge", 4))
         for rec in trace.layers:
             assert rec.cls_digest_pre == rec.cls_digest_post != ""
+
+    @pytest.mark.parametrize("salience,schedule,maps", [
+        (False, 3, False), (True, 4, False), (False, 3, True),
+        (True, "adaptive", False), (False, "adaptive", False)],
+        ids=["tome", "adamerge", "tome-maps", "adamerge-stats", "tome-stats"])
+    def test_each_block_reads_the_cls_row_the_last_one_wrote(
+            self, model, image, forward_checking_cls, salience, schedule, maps):
+        if schedule == "adaptive":
+            schedule = flat_stats(model, salience)
+        cls = np.random.default_rng(8).normal(size=16).astype(np.float32)
+        _, trace = forward_checking_cls(
+            TokenSequence(cls=cls, patches=image), model,
+            RunConfig(salience=salience, schedule=schedule, track_maps=maps))
+        assert trace.total_merges > 0
 
     def test_salience_conservation_per_layer(self, model, image):
         for cfg in (fixed_cfg("adamerge", 4), fixed_cfg("tome", 4),

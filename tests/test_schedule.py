@@ -11,7 +11,7 @@ from adamerge.schedule import (LayerStats, logistic, r_from_z, redundancy_proxy,
 def make_stats(layers=4, mu=0.5, sigma=0.1):
     return LayerStats(model_id="t", mu=np.full(layers, mu),
                       sigma=np.full(layers, sigma), r_max=8, alpha=1.0,
-                      temperature=1.0, passes=2, calibration_size=16)
+                      passes=2, calibration_size=16)
 
 
 class TestRedundancyProxy:
@@ -93,21 +93,27 @@ class TestTemperature:
                 d2 = abs(logistic(z / t2) - 0.5)
                 assert d1 >= d2
 
-    def test_temperature_divides_z(self):
-        stats = make_stats()
-        assert zscore(0.7, dataclasses.replace(stats, temperature=0.5), 0) == \
-            pytest.approx(2 * zscore(0.7, dataclasses.replace(stats, temperature=1.0), 0))
-
 
 class TestValidation:
     def test_temperature_defaults_to_one(self):
+        # temperature is init-only: the old default 1.0 still constructs,
+        # and the stats (and stats.json) hold no such field
         stats = LayerStats(model_id="t", mu=np.zeros(2), sigma=np.ones(2),
-                           r_max=4, alpha=1.0, passes=1, calibration_size=4)
-        assert stats.temperature == 1.0
+                           r_max=4, alpha=1.0, passes=1, calibration_size=4,
+                           temperature=1.0)
+        assert "temperature" not in {f.name for f in dataclasses.fields(stats)}
+        assert dataclasses.replace(stats, r_max=5).r_max == 5
+        assert zscore(0.7, stats, 0) == 0.7
 
     def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(make_stats(), r_max=4, temperature=0.0)
+        # any other value, a bool included, names the field and points at alpha
+        for value in (0.5, 2, 0.0, True, "1.0"):
+            with pytest.raises(ValueError, match=r"temperature is no longer a "
+                               r"schedule setting: alpha is the one gain.*"
+                               rf"got temperature={value!r}"):
+                LayerStats(model_id="t", mu=np.zeros(2), sigma=np.ones(2),
+                           r_max=4, alpha=1.0, passes=1, calibration_size=4,
+                           temperature=value)
 
     def test_negative_r_max(self):
         with pytest.raises(ValueError):
@@ -116,11 +122,9 @@ class TestValidation:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
             LayerStats(model_id="t", mu=np.zeros(2), sigma=np.array([1.0, 0.0]),
-                       r_max=4, alpha=1.0, temperature=1.0, passes=1,
-                       calibration_size=4)
+                       r_max=4, alpha=1.0, passes=1, calibration_size=4)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LayerStats(model_id="t", mu=np.zeros(2), sigma=np.ones(3),
-                       r_max=4, alpha=1.0, temperature=1.0, passes=1,
-                       calibration_size=4)
+                       r_max=4, alpha=1.0, passes=1, calibration_size=4)

@@ -10,6 +10,13 @@ lines compute the same runs bit for bit:
     PYTHONPATH=<checkout B>/src python tools/digest.py > b.txt
     diff a.txt b.txt
 
+`tools/digest.txt` holds the output at the default grid followed by the
+`--cli` output, and a tier-1 test compares against it. A change that
+moves a number regenerates it, and says why:
+
+    PYTHONPATH=src python tools/digest.py > tools/digest.txt
+    PYTHONPATH=src python tools/digest.py --cli >> tools/digest.txt
+
 The grid: a d=16 model with zero biases and a d=64 model with non-zero
 biases and LN betas; `none`, and `tome` and `adamerge` at fixed r = 0, 3
 and an r above |A| and on the adaptive schedule of stats calibrated on
