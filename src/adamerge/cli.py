@@ -5,6 +5,7 @@
 
 import argparse
 import dataclasses
+import shlex
 import sys
 import time
 
@@ -22,8 +23,8 @@ EXIT_DATA = 2
 
 # A method name sets the salience knob of a RunConfig (weighted scores
 # and salience aggregation), known only here; "none" runs no merge step
-# at all. The schedule is set apart from the name: --r fixes it, --stats
-# makes it adaptive.
+# at all. The schedule is set apart from the name: the key r of a
+# --config spec fixes it, --stats makes it adaptive.
 METHOD_ALIASES = {"none": False, "tome": False, "adamerge": True}
 
 
@@ -67,10 +68,8 @@ def build_run_config(method: str, *, r: int | None = None,
                 f"adaptive one, not both (got r={r}, r_max={r_max})")
         return RunConfig(salience=salience, schedule=r)
     if stats is None:
-        raise ValueError(
-            f"method {method} needs --r for a fixed schedule or --stats for "
-            f"an adaptive one; `adamerge calibrate --method {method}` writes "
-            "the stats")
+        raise ValueError(f"method {method} needs r for a fixed schedule or "
+                         "stats for an adaptive one")
     sched = stats if r_max is None else dataclasses.replace(stats, r_max=r_max)
     if sched.r_max != stats.r_max:
         print(f"warning: r_max={r_max} differs from the stats' "
@@ -138,14 +137,15 @@ def cmd_synth_weights(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.method == "none":
-        raise ValueError(
-            f"method {args.method!r} runs no merge step, so it has no "
-            "redundancy statistics to calibrate")
+    spec = _one_config(args)
+    method, opts = parse_config_spec(spec)
+    if method == "none" or set(opts) != {"r_max"}:  # none has no merge step
+        raise ValueError(f"config {spec!r}: calibrate fits the adaptive schedule "
+                         "of tome or adamerge, so it takes method:r_max=N, no r")
     weights, images, _ = _load_inputs(args)
-    stats = calibration.refine(weights, images, args.r_max, alpha=args.alpha,
+    stats = calibration.refine(weights, images, opts["r_max"], alpha=args.alpha,
                                passes=args.passes,
-                               salience=method_salience(args.method))
+                               salience=method_salience(method))
     calibration.save_stats(stats, args.out)
     print(f"calibrated {stats.num_layers} layers on {stats.calibration_size} "
           f"images ({stats.passes} passes) -> {args.out}")
@@ -175,15 +175,16 @@ def _measure(weights, images, cfg, labels):
 
 
 def cmd_run(args) -> int:
+    _one_config(args)
     weights, images, labels = _load_inputs(args)
-    [(_, _, cfg)] = _resolve_configs(args, weights)
+    [(_, method, cfg)] = _resolve_configs(args, weights)
 
     results, row = _measure(weights, images, cfg, labels)
     if args.out_csv:
         report.write_run_csv(args.out_csv,
                              [(i, tr) for i, (_, tr) in enumerate(results)])
     acc = row["accuracy"]
-    print(f"method={args.method} images={len(images)}")
+    print(f"method={method} images={len(images)}")
     print(f"mean total merges: {row['mean_merges']:.2f}")
     print(f"FLOPs (mean over images): {row['flops_g']:.4g} G "
           f"(reduction {row['flops_reduction_pct']:.1f}% vs merge-free)")
@@ -218,16 +219,20 @@ def parse_config_spec(spec: str):
     return method, opts
 
 
+def _one_config(args):
+    """The one --config spec of calibrate, run or viz."""
+    if len(args.config) > 1:
+        raise ValueError(f"{args.command} takes one --config, got "
+                         + " and ".join(map(repr, args.config)))
+    return args.config[0]
+
+
 def _resolve_configs(args, weights):
-    """(label, method, RunConfig) of every run of a command, all resolved
-    before the first one runs: each --config of compare, or the --method,
-    --r and --r-max of run and viz. Each adaptive run reads the one
+    """(spec, method, RunConfig) of every --config of a command, all
+    resolved before the first one runs. Each adaptive run reads the one
     --stats file calibrated with its method's salience; a file that no
     run reads is an error, since its schedule would silently not apply."""
-    if hasattr(args, "config"):
-        runs = [(spec, *parse_config_spec(spec)) for spec in args.config]
-    else:
-        runs = [(args.method, args.method, {"r": args.r, "r_max": args.r_max})]
+    runs = [(spec, *parse_config_spec(spec)) for spec in args.config]
     given = {}  # salience -> (path, stats)
     for path in args.stats or ():
         stats = calibration.load_stats(path)
@@ -242,17 +247,25 @@ def _resolve_configs(args, weights):
         given[stats.salience] = (path, stats)
 
     resolved, read = [], set()
-    for label, method, opts in runs:
+    for spec, method, opts in runs:
         adaptive = method != "none" and opts.get("r") is None
         salience = method_salience(method)
-        if adaptive and given and salience not in given:  # one file, the other's
-            [(path, stats)] = given.values()
+        if adaptive and salience not in given:
+            why = (f"method {method} needs r for a fixed schedule or --stats "
+                   "for an adaptive one")
+            r_max = opts.get("r_max", "N")
+            for path, stats in given.values():  # one file, the other's
+                why = (f"{path}: stats were calibrated with salience="
+                       f"{stats.salience}, but the run has salience={salience} "
+                       f"(method {method})")
+                r_max = opts.get("r_max", stats.r_max)
             raise ValueError(
-                f"{path}: stats were calibrated with salience={stats.salience}, "
-                f"but the run has salience={salience} (method {method}); run "
-                f"`adamerge calibrate --method {method}` for stats of this method")
+                f"{why}; run `adamerge calibrate --weights "
+                f"{shlex.quote(args.weights)} --dataset "
+                f"{shlex.quote(args.dataset)} --config {method}:r_max={r_max} "
+                f"--out {method}.json` for stats of this method")
         path, stats = given.get(salience, (None, None)) if adaptive else (None, None)
-        resolved.append((label, method, build_run_config(method, stats=stats, **opts)))
+        resolved.append((spec, method, build_run_config(method, stats=stats, **opts)))
         read.add(path)
     for path, stats in given.values():
         if path not in read:
@@ -291,6 +304,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    _one_config(args)
     weights, images, _ = _load_inputs(args)
     if not 0 <= args.image_index < len(images):
         raise ValueError(
@@ -313,27 +327,21 @@ def cmd_viz(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_schedule_flags(p):
-    p.add_argument("--method", choices=list(METHOD_ALIASES), default="adamerge")
-    p.add_argument("--r", type=int, default=None,
-                   help="fixed per-layer merge count")
-    p.add_argument("--r-max", type=int, default=None,
-                   help="adaptive-schedule budget (default: the stats' r_max)")
-    # repeatable as in compare, so that a second file is rejected as unread
-    # rather than silently replacing the first
-    p.add_argument("--stats", action="append",
-                   help="stats.json of the adaptive schedule, used without --r")
-
-
 def make_parser() -> _Parser:
     parser = _Parser(prog="adamerge",
                      description="Token-merging bench tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_inputs(name, **kw):  # a command that reads weights and a dataset
+    def with_inputs(name, stats=True, **kw):  # reads weights and a dataset
         p = sub.add_parser(name, **kw)
         p.add_argument("--weights", required=True)
         p.add_argument("--dataset", required=True)
+        p.add_argument("--config", action="append", required=True,
+                       help="e.g. tome:r=8 or adamerge:r_max=16")
+        if stats:
+            p.add_argument("--stats", action="append",
+                           help="stats.json of the adaptive configs; repeat "
+                           "it to give each salience setting its own")
         return p
 
     p = sub.add_parser("synth", help="generate a synthetic token dataset")
@@ -356,26 +364,19 @@ def make_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth_weights)
 
-    p = with_inputs("calibrate", help="fit per-layer (mu, sigma) stats")
-    p.add_argument("--r-max", type=int, required=True)
+    p = with_inputs("calibrate", stats=False,
+                    help="fit per-layer (mu, sigma) stats for method:r_max=N")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--passes", type=int, default=2)
-    p.add_argument("--method", choices=list(METHOD_ALIASES), default="adamerge")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
-    p = with_inputs("run", help="run one method over a dataset")
-    _add_schedule_flags(p)
+    p = with_inputs("run", help="run one config over a dataset")
     p.add_argument("--labels", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_run)
 
     p = with_inputs("compare", help="compare configurations")
-    p.add_argument("--config", action="append", required=True,
-                   help="e.g. tome:r=8 or adamerge:r_max=23")
-    p.add_argument("--stats", action="append",
-                   help="stats.json of the adaptive configs; repeat it to "
-                   "give each salience setting its own")
     p.add_argument("--labels", default=None)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-svg", default=None)
@@ -383,7 +384,6 @@ def make_parser() -> _Parser:
 
     p = with_inputs("viz", help="emit a per-layer merge map")
     p.add_argument("--image-index", type=int, default=0)
-    _add_schedule_flags(p)
     p.add_argument("--out-svg", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_viz)

@@ -273,16 +273,17 @@ def test_criterion_9_end_to_end_smoke(tmp_path):
     assert main(["synth", "--images", "64", "--tokens", "196", "--dim", "64",
                  "--redundancy", "0.6", "--seed", "9", "--out", dataset]) == 0
     assert main(["calibrate", "--weights", weights, "--dataset", dataset,
-                 "--r-max", "16", "--passes", "2", "--out", stats]) == 0
+                 "--config", "adamerge:r_max=16", "--passes", "2",
+                 "--out", stats]) == 0
     assert main(["run", "--weights", weights, "--dataset", dataset,
-                 "--method", "adamerge", "--r-max", "16", "--stats", stats,
+                 "--config", "adamerge:r_max=16", "--stats", stats,
                  "--out-csv", run_csv]) == 0
     assert main(["compare", "--weights", weights, "--dataset", dataset,
                  "--config", "tome:r=8", "--config", "adamerge:r_max=16",
                  "--stats", stats, "--out-csv", cmp_csv,
                  "--out-svg", cmp_svg]) == 0
     assert main(["viz", "--weights", weights, "--dataset", dataset,
-                 "--method", "adamerge", "--r-max", "16", "--stats", stats,
+                 "--config", "adamerge:r_max=16", "--stats", stats,
                  "--out-csv", viz_csv, "--out-svg", viz_svg]) == 0
 
     # schema checks

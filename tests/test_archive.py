@@ -222,7 +222,7 @@ def test_v1_archive_exits_2_with_the_rerun_hint(tmp_path, capsys):
         tensors={"images": {"shape": [1, 2, 4], "dtype": "f32", "offset": 0,
                             "length": 32}}))
     assert main(["run", "--weights", str(p), "--dataset", str(p),
-                 "--method", "none"]) == 2
+                 "--config", "none"]) == 2
     assert capsys.readouterr().err == (
         f"error: archive at {p}: unsupported archive format "
         "'adamerge-tensor-archive-v1' (this build reads "

@@ -29,7 +29,8 @@ def workspace(tmp_path_factory):
     assert main(["synth", "--images", "8", "--tokens", "24", "--dim", "16",
                  "--redundancy", "0.5", "--seed", "4", "--out", dataset]) == 0
     assert main(["calibrate", "--weights", weights, "--dataset", dataset,
-                 "--r-max", "6", "--passes", "2", "--out", stats]) == 0
+                 "--config", "adamerge:r_max=6", "--passes", "2",
+                 "--out", stats]) == 0
     return {"root": root, "weights": weights, "dataset": dataset,
             "stats": stats}
 
@@ -127,7 +128,7 @@ class TestCalibrate:
         doc = json.loads(open(workspace["stats"]).read())
         assert doc["version"] == 3
         assert "temperature" not in doc  # alpha is the one gain
-        assert doc["salience"] is True  # calibrated for adamerge, the default
+        assert doc["salience"] is True  # calibrated for adamerge
         assert doc["num_layers"] == 4
         assert len(doc["mu"]) == 4 and len(doc["sigma"]) == 4
         assert all(s > 0 for s in doc["sigma"])
@@ -135,7 +136,8 @@ class TestCalibrate:
     def test_schedule_values_are_stored(self, workspace, tmp_path):
         out = tmp_path / "stats.json"
         assert main(["calibrate", "--weights", workspace["weights"],
-                     "--dataset", workspace["dataset"], "--r-max", "5",
+                     "--dataset", workspace["dataset"],
+                     "--config", "adamerge:r_max=5",
                      "--alpha", "2", "--passes", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         # alpha is the one gain
@@ -146,9 +148,8 @@ class TestRun:
     def test_adaptive_run_csv(self, workspace, tmp_path):
         out_csv = str(tmp_path / "run.csv")
         code = main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge", "--r-max",
-                     "6", "--stats", workspace["stats"],
-                     "--out-csv", out_csv])
+                     workspace["dataset"], "--config", "adamerge:r_max=6",
+                     "--stats", workspace["stats"], "--out-csv", out_csv])
         assert code == 0
         rows = list(csv.DictReader(open(out_csv)))
         assert len(rows) == 8 * 4
@@ -165,7 +166,7 @@ class TestRun:
         # 24 tokens: |A| is 12, 6, 3 and 2 at the four layers, all below 200
         out_csv = tmp_path / "run.csv"
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "tome", "--r", "200",
+                     workspace["dataset"], "--config", "tome:r=200",
                      "--out-csv", str(out_csv)]) == 0
         rows = list(csv.DictReader(open(out_csv)))
         assert len(rows) == 8 * 4
@@ -174,15 +175,14 @@ class TestRun:
 
     def test_summary_counts_the_merger_flags(self, workspace, capsys):
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "tome", "--r",
-                     "200"]) == 0
+                     workspace["dataset"], "--config", "tome:r=200"]) == 0
         assert "merger flags over 32 layer decisions: r_clamped=32 " \
             "mean_fallback=0 empty_b=0\n" in capsys.readouterr().out
 
     def test_summary_flops_are_the_mean_over_images(self, workspace, capsys):
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge", "--r-max",
-                     "6", "--stats", workspace["stats"]]) == 0
+                     workspace["dataset"], "--config", "adamerge:r_max=6",
+                     "--stats", workspace["stats"]]) == 0
         out = capsys.readouterr().out
         shown = re.search(r"FLOPs \(mean over images\): ([\d.e+-]+) G "
                           r"\(reduction ([\d.]+)%", out)
@@ -215,15 +215,14 @@ class TestRun:
         for k in range(2):
             p = tmp_path / f"run{k}.csv"
             assert main(["run", "--weights", workspace["weights"],
-                         "--dataset", workspace["dataset"], "--method",
-                         "tome", "--r", "3", "--out-csv", str(p)]) == 0
+                         "--dataset", workspace["dataset"], "--config",
+                         "tome:r=3", "--out-csv", str(p)]) == 0
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
 
     def test_missing_stats_is_data_error(self, workspace):
         code = main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge",
-                     "--r-max", "6"])
+                     workspace["dataset"], "--config", "adamerge:r_max=6"])
         assert code == 2
 
 
@@ -304,7 +303,7 @@ class TestViz:
         out_csv = tmp_path / "viz.csv"
         out_svg = tmp_path / "viz.svg"
         assert main(["viz", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "none",
+                     workspace["dataset"], "--config", "none",
                      "--out-csv", str(out_csv), "--out-svg", str(out_svg)]) == 0
         rows = list(csv.DictReader(open(out_csv)))
         assert all(r["status"] == "survived" for r in rows)
@@ -313,7 +312,7 @@ class TestViz:
     def test_fixed_r_reds_per_layer(self, workspace, tmp_path):
         out_csv = tmp_path / "viz.csv"
         assert main(["viz", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "tome", "--r", "2",
+                     workspace["dataset"], "--config", "tome:r=2",
                      "--out-csv", str(out_csv)]) == 0
         rows = list(csv.DictReader(open(out_csv)))
         by_layer = {}
@@ -328,32 +327,29 @@ class TestViz:
     # still tracked original-token ids; the replay of the recorded edges
     # must give the same files
     PINNED = {
-        ("tome", "--r", "2"): (
+        "tome:r=2": (
             "0c0f03dd39e9679f40c760e95e7f1d7729f31610b50a8ac607c78a2d87e14c5a",
             "a6905472a83fbda4bc70de2614977798017d0b2620bcc42b34a1cc420b82aed9"),
-        ("adamerge", "--r-max", "6"): (
+        "adamerge:r_max=6": (
             "b2fe89dbcd18627960ca5596b0b063d3be9fef79310f7356b6986fa9c5d3184b",
             "74873a2dd6c49ae404792209ba605154f1c628074bef483fb8f3a3ca826954ce"),
     }
 
-    @pytest.mark.parametrize("method,flag,value", list(PINNED),
-                             ids=["tome", "adamerge"])
-    def test_merge_map_bytes_are_pinned(self, workspace, tmp_path, method,
-                                        flag, value):
+    @pytest.mark.parametrize("spec", list(PINNED), ids=["tome", "adamerge"])
+    def test_merge_map_bytes_are_pinned(self, workspace, tmp_path, spec):
         out_csv, out_svg = tmp_path / "viz.csv", tmp_path / "viz.svg"
         # only the adaptive run reads stats; a fixed r given them exits 2
-        stats = ["--stats", workspace["stats"]] if flag == "--r-max" else []
+        stats = ["--stats", workspace["stats"]] if "r_max" in spec else []
         assert main(["viz", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", method, flag, value,
-                     *stats, "--out-csv", str(out_csv),
-                     "--out-svg", str(out_svg)]) == 0
+                     workspace["dataset"], "--config", spec, *stats,
+                     "--out-csv", str(out_csv), "--out-svg", str(out_svg)]) == 0
         got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in (out_csv, out_svg))
-        assert got == self.PINNED[method, flag, value]
+        assert got == self.PINNED[spec]
 
     def test_out_of_range_index(self, workspace):
         assert main(["viz", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "none",
+                     workspace["dataset"], "--config", "none",
                      "--image-index", "99"]) == 2
 
 
@@ -363,23 +359,31 @@ class TestExitCodes:
         assert main(["bogus-command"]) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--method", "none", "--include-overhead"],
+        ["run", "--config", "none", "--include-overhead"],
         ["compare", "--config", "none", "--include-overhead"],
         ["compare", "--config", "none", "--alpha", "2"],
         ["compare", "--config", "none", "--temperature", "2"],
-        ["run", "--method", "adamerge", "--alpha", "2"],
-        ["run", "--method", "adamerge", "--temperature", "2"],
-        ["viz", "--method", "adamerge", "--alpha", "2"],
-        ["viz", "--method", "adamerge", "--temperature", "2"],
-        ["calibrate", "--r-max", "6", "--temperature", "2"]],
+        ["run", "--config", "adamerge", "--alpha", "2"],
+        ["run", "--config", "adamerge", "--temperature", "2"],
+        ["viz", "--config", "adamerge", "--alpha", "2"],
+        ["viz", "--config", "adamerge", "--temperature", "2"],
+        ["calibrate", "--config", "adamerge:r_max=6", "--temperature", "2"],
+        *([command, "--config", "tome:r_max=6", flag, value]
+          for command in ("calibrate", "run", "compare", "viz")
+          for flag, value in (("--method", "tome"), ("--r", "3"),
+                              ("--r-max", "6")))],
         ids=["run-include-overhead", "compare-include-overhead",
              "compare-alpha", "compare-temperature", "run-alpha",
              "run-temperature", "viz-alpha", "viz-temperature",
-             "calibrate-temperature"])
+             "calibrate-temperature",
+             *(f"{command}-{flag}" for command in ("calibrate", "run",
+                                                   "compare", "viz")
+               for flag in ("method", "r", "r-max"))])
     def test_removed_flags_are_usage_errors(self, workspace, tmp_path, capsys,
                                             argv):
         # the overhead is always shown; alpha and temperature come from the
-        # stats, and calibrate's --alpha is the schedule's one gain
+        # stats, and calibrate's --alpha is the schedule's one gain; a
+        # --config spec names the method, r and r_max of every command
         command, *rest = argv
         out = tmp_path / "out"
         assert main([command, "--weights", workspace["weights"], "--dataset",
@@ -390,8 +394,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,argv", [
-        ("calibrate", ["--r-max", "6"]),
-        ("run", ["--method", "tome", "--r", "3"]),
+        ("calibrate", ["--config", "adamerge:r_max=6"]),
+        ("run", ["--config", "tome:r=3"]),
         ("compare", ["--config", "tome:r=3"])], ids=["calibrate", "run", "compare"])
     def test_threads_is_a_usage_error(self, workspace, tmp_path, capsys,
                                       command, argv):
@@ -406,7 +410,7 @@ class TestExitCodes:
     def test_data_error_is_two(self, tmp_path):
         assert main(["run", "--weights", str(tmp_path / "nope"),
                      "--dataset", str(tmp_path / "nope2"),
-                     "--method", "none"]) == 2
+                     "--config", "none"]) == 2
 
     def test_stats_from_another_model_is_data_error(self, workspace, tmp_path,
                                                     capsys):
@@ -416,9 +420,9 @@ class TestExitCodes:
                      "--out", other]) == 0
         base = ["--weights", other, "--dataset", workspace["dataset"],
                 "--stats", workspace["stats"]]
-        for argv in (["run", *base, "--method", "adamerge", "--r-max", "6"],
+        for argv in (["run", *base, "--config", "adamerge:r_max=6"],
                      ["compare", *base, "--config", "adamerge:r_max=6"],
-                     ["viz", *base, "--method", "tome", "--r", "2"]):
+                     ["viz", *base, "--config", "tome:r=2"]):
             capsys.readouterr()
             assert main(argv) == 2, argv[0]
             err = capsys.readouterr().err
@@ -431,7 +435,7 @@ class TestExitCodes:
         bad = str(tmp_path / "bad")
         data.save_dataset(bad, images)
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     bad, "--method", "tome", "--r", "3"]) == 2
+                     bad, "--config", "tome:r=3"]) == 2
         err = capsys.readouterr().err
         assert "image 2 " in err and "token row 5" in err, err
 
@@ -440,17 +444,19 @@ class TestRejectedSchedules:
     def test_calibrate_none_is_data_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "stats.json"
         assert main(["calibrate", "--weights", workspace["weights"],
-                     "--dataset", workspace["dataset"], "--r-max", "6",
-                     "--method", "none", "--out", str(out)]) == 2
-        assert "'none'" in capsys.readouterr().err
+                     "--dataset", workspace["dataset"], "--config", "none",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config 'none': calibrate fits the adaptive schedule of tome "
+            "or adamerge, so it takes method:r_max=N, no r\n")
         assert not out.exists()
 
     def test_negative_r_is_data_error(self, workspace, capsys):
         base = ["--weights", workspace["weights"], "--dataset",
                 workspace["dataset"]]
-        for argv in (["run", *base, "--method", "tome", "--r", "-3"],
+        for argv in (["run", *base, "--config", "tome:r=-3"],
                      ["compare", *base, "--config", "tome:r=-1"],
-                     ["viz", *base, "--method", "adamerge", "--r", "-1"]):
+                     ["viz", *base, "--config", "adamerge:r=-1"]):
             capsys.readouterr()
             assert main(argv) == 2, argv[0]
             assert "r=-" in capsys.readouterr().err, argv[0]
@@ -459,8 +465,8 @@ class TestRejectedSchedules:
         base = ["--weights", workspace["weights"], "--dataset",
                 workspace["dataset"]]
         for argv, given in (
-                (["run", *base, "--method", "none", "--r", "5"], "r=5"),
-                (["viz", *base, "--method", "none", "--r-max", "6"], "r_max=6"),
+                (["run", *base, "--config", "none:r=5"], "r=5"),
+                (["viz", *base, "--config", "none:r_max=6"], "r_max=6"),
                 (["compare", *base, "--config", "none:r=3"], "r=3")):
             capsys.readouterr()
             assert main(argv) == 2, argv
@@ -474,8 +480,9 @@ class TestRejectedSchedules:
                                                      value):
         out = tmp_path / "s.json"
         assert main([command, "--weights", workspace["weights"],
-                     "--dataset", workspace["dataset"], "--r-max", "6",
-                     "--out", str(out), f"--{flag}", value]) == 2
+                     "--dataset", workspace["dataset"], "--config",
+                     "adamerge:r_max=6", "--out", str(out), f"--{flag}",
+                     value]) == 2
         assert f"{flag} must be finite, got {flag}={value}" in \
             capsys.readouterr().err
         assert not out.exists()
@@ -510,8 +517,8 @@ class TestRejectedSchedules:
         bad = tmp_path / "stats.json"
         bad.write_text(json.dumps(doc))
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge", "--r-max",
-                     "6", "--stats", str(bad)]) == 2
+                     workspace["dataset"], "--config", "adamerge:r_max=6",
+                     "--stats", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}: {message}" in err and "warning" not in err, err
 
@@ -524,8 +531,8 @@ class TestRejectedSchedules:
         bad.write_text(json.dumps(doc))
         assert value in bad.read_text()
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge", "--r-max",
-                     "6", "--stats", str(bad)]) == 2
+                     workspace["dataset"], "--config", "adamerge:r_max=6",
+                     "--stats", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}: mu must be finite" in err and "layer 2 has mu=" in err, err
 
@@ -539,7 +546,7 @@ class TestRejectedSchedules:
         bad = tmp_path / "stats.json"
         bad.write_text(json.dumps(doc))
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge",
+                     workspace["dataset"], "--config", "adamerge",
                      "--stats", str(bad)]) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}: {field} must be a real number at every layer; "
@@ -572,10 +579,9 @@ class TestRejectedLabels:
                                         command, labels, message):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps(labels))
-        argv = {"run": ["--method", "tome", "--r", "3"],
-                "compare": ["--config", "tome:r=3"]}[command]
         assert main([command, "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], *argv, "--labels", str(path)]) == 2
+                     workspace["dataset"], "--config", "tome:r=3",
+                     "--labels", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"error: {path}: {message}" in err, err
 
@@ -601,10 +607,8 @@ class TestEmptyDataset:
                                          command):
         empty = str(tmp_path / "empty")
         data.save_dataset(empty, np.zeros((0, 24, 16), np.float32))
-        argv = {"calibrate": ["--r-max", "6", "--out", str(tmp_path / "s.json")],
-                "run": ["--method", "tome", "--r", "3"],
-                "compare": ["--config", "tome:r=3"],
-                "viz": ["--method", "tome", "--r", "3"]}[command]
+        argv = (["--config", "adamerge:r_max=6", "--out", str(tmp_path / "s.json")]
+                if command == "calibrate" else ["--config", "tome:r=3"])
         assert main([command, "--weights", workspace["weights"],
                      "--dataset", empty, *argv]) == 2
         assert f"error: {empty}: dataset is empty" in capsys.readouterr().err
@@ -620,10 +624,8 @@ class TestUnusableDataset:
                                          command, shape, message):
         bad = str(tmp_path / "bad")
         data.save_dataset(bad, np.ones(shape, np.float32))
-        argv = {"calibrate": ["--r-max", "6", "--out", str(tmp_path / "s.json")],
-                "run": ["--method", "tome", "--r", "3"],
-                "compare": ["--config", "tome:r=3"],
-                "viz": ["--method", "tome", "--r", "3"]}[command]
+        argv = (["--config", "adamerge:r_max=6", "--out", str(tmp_path / "s.json")]
+                if command == "calibrate" else ["--config", "tome:r=3"])
         assert main([command, "--weights", workspace["weights"],
                      "--dataset", bad, *argv]) == 2
         message = message.format(weights=workspace["weights"])
@@ -631,38 +633,39 @@ class TestUnusableDataset:
 
 
 class TestScheduleMismatch:
-    def run_adaptive(self, workspace, *extra):
+    def run_adaptive(self, workspace, spec, *extra):
         return main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge",
+                     workspace["dataset"], "--config", spec,
                      "--stats", workspace["stats"], *extra])
 
     def test_mismatched_r_max_warns(self, workspace, capsys):
-        assert self.run_adaptive(workspace, "--r-max", "8") == 0
+        assert self.run_adaptive(workspace, "adamerge:r_max=8") == 0
         err = capsys.readouterr().err.splitlines()
         assert err == ["warning: r_max=8 differs from the stats' r_max=6"]
 
     def test_matching_values_are_silent(self, workspace, capsys):
-        assert self.run_adaptive(workspace, "--r-max", "6") == 0
+        assert self.run_adaptive(workspace, "adamerge:r_max=6") == 0
         assert capsys.readouterr().err == ""
 
     def test_schedule_defaults_to_the_stats(self, workspace, tmp_path, capsys):
         stats = str(tmp_path / "alpha2.json")
         assert main(["calibrate", "--weights", workspace["weights"],
-                     "--dataset", workspace["dataset"], "--r-max", "6",
-                     "--alpha", "2", "--out", stats]) == 0
+                     "--dataset", workspace["dataset"], "--config",
+                     "adamerge:r_max=6", "--alpha", "2", "--out", stats]) == 0
         csvs = {}
-        for label, extra in (("default", ("--r-max", "6")),
-                             ("no-r-max", ())):
+        for label, spec in (("default", "adamerge:r_max=6"),
+                            ("no-r-max", "adamerge")):
             out = tmp_path / f"{label}.csv"
             assert main(["run", "--weights", workspace["weights"], "--dataset",
-                         workspace["dataset"], "--method", "adamerge",
-                         "--stats", stats, *extra, "--out-csv", str(out)]) == 0
+                         workspace["dataset"], "--config", spec,
+                         "--stats", stats, "--out-csv", str(out)]) == 0
             assert capsys.readouterr().err == "", label
             csvs[label] = out.read_bytes()
         assert csvs["default"] == csvs["no-r-max"]
         # alpha 2 is not the alpha-1 run of the workspace stats
         out = tmp_path / "alpha1.csv"
-        assert self.run_adaptive(workspace, "--out-csv", str(out)) == 0
+        assert self.run_adaptive(workspace, "adamerge", "--out-csv",
+                                 str(out)) == 0
         assert out.read_bytes() != csvs["default"]
 
 
@@ -675,7 +678,7 @@ class TestScheduleFromStats:
         stats, out = tmp_path / f"{label}.json", tmp_path / f"{label}.csv"
         stats.write_text(json.dumps(doc))
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge", "--stats",
+                     workspace["dataset"], "--config", "adamerge", "--stats",
                      str(stats), "--out-csv", str(out)]) == 0
         return list(csv.DictReader(open(out)))
 
@@ -693,23 +696,35 @@ def tome_stats(workspace):
     """Stats calibrated for tome (salience off) on the workspace."""
     path = str(workspace["root"] / "tome.json")
     assert main(["calibrate", "--weights", workspace["weights"], "--dataset",
-                 workspace["dataset"], "--r-max", "6", "--passes", "2",
-                 "--method", "tome", "--out", path]) == 0
+                 workspace["dataset"], "--config", "tome:r_max=6",
+                 "--passes", "2", "--out", path]) == 0
     return path
 
 
+def calibrate_command(workspace, method, r_max):
+    """The calibrate command that an error about missing stats quotes."""
+    return (f"`adamerge calibrate --weights {workspace['weights']} --dataset "
+            f"{workspace['dataset']} --config {method}:r_max={r_max} "
+            f"--out {method}.json`")
+
+
 class TestOneSpellingPerRun:
-    # the method name sets salience; --r or --stats sets the schedule
+    # a --config spec names every run: the method sets salience, its key r
+    # or the --stats sets the schedule
     @pytest.mark.parametrize("command", ["run", "viz", "calibrate"])
     @pytest.mark.parametrize("method", ["sw-only", "adp-only"])
     def test_removed_method_name_is_usage_error(self, workspace, tmp_path,
                                                 capsys, command, method):
+        # a spec's method is checked by method_salience: exit 2 with the
+        # alias table, as on every command
+        with pytest.raises(ValueError) as unknown:
+            method_salience(method)
         out = tmp_path / "out"
-        extra = (["--r-max", "6", "--out", str(out)] if command == "calibrate"
-                 else ["--r", "3"])
+        extra = ([f"{method}:r_max=6", "--out", str(out)]
+                 if command == "calibrate" else [f"{method}:r=3"])
         assert main([command, "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", method, *extra]) == 1
-        assert f"invalid choice: '{method}'" in capsys.readouterr().err
+                     workspace["dataset"], "--config", *extra]) == 2
+        assert capsys.readouterr().err == f"error: {unknown.value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["sw-only:r=3", "adp-only:r_max=6"])
@@ -726,27 +741,54 @@ class TestOneSpellingPerRun:
     @pytest.mark.parametrize("method", ["tome", "adamerge"])
     def test_merging_method_needs_r_or_stats(self, workspace, capsys, command,
                                              method):
-        argv = ["--config" if command == "compare" else "--method", method]
         assert main([command, "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], *argv]) == 2
+                     workspace["dataset"], "--config", method]) == 2
         assert capsys.readouterr().err == (
-            f"error: method {method} needs --r for a fixed schedule or --stats "
-            f"for an adaptive one; `adamerge calibrate --method {method}` "
-            "writes the stats\n")
-
+            f"error: method {method} needs r for a fixed schedule or --stats "
+            "for an adaptive one; run "
+            f"{calibrate_command(workspace, method, 'N')} for stats of this "
+            "method\n")
 
     @pytest.mark.parametrize("command", ["run", "viz", "compare"])
     def test_r_and_r_max_together_are_data_error(self, workspace, capsys,
                                                  command):
         # r_max is the budget of an adaptive schedule; r runs a fixed one
-        argv = (["--config", "adamerge:r=3,r_max=6"] if command == "compare"
-                else ["--method", "adamerge", "--r", "3", "--r-max", "6"])
         assert main([command, "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--stats", workspace["stats"],
-                     *argv]) == 2
+                     "--config", "adamerge:r=3,r_max=6"]) == 2
         assert capsys.readouterr().err == (
             "error: method adamerge takes r for a fixed schedule or r_max for "
             "an adaptive one, not both (got r=3, r_max=6)\n")
+
+    @pytest.mark.parametrize("command", ["run", "viz", "calibrate"])
+    def test_second_config_is_data_error_naming_both(self, workspace, tmp_path,
+                                                     capsys, command):
+        # these commands run one config; compare runs each one given
+        out = tmp_path / "out"
+        outputs = {"calibrate": ["--out", str(out)],
+                   "run": ["--out-csv", str(out)],
+                   "viz": ["--out-csv", str(out), "--out-svg", str(out)]}
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "tome:r_max=6",
+                     "--config", "adamerge:r_max=6", *outputs[command]]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {command} takes one --config, got 'tome:r_max=6' and "
+            "'adamerge:r_max=6'\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["tome", "adamerge:r=3",
+                                      "tome:r=3,r_max=6"])
+    def test_calibrate_takes_r_max_and_no_r(self, workspace, tmp_path, capsys,
+                                            spec):
+        # r_max is the budget of the schedule calibrate fits; r fixes one
+        out = tmp_path / "stats.json"
+        assert main(["calibrate", "--weights", workspace["weights"],
+                     "--dataset", workspace["dataset"], "--config", spec,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: config {spec!r}: calibrate fits the adaptive schedule of "
+            "tome or adamerge, so it takes method:r_max=N, no r\n"))
+        assert not out.exists()
 
 
 class TestSalienceOfStats:
@@ -765,7 +807,7 @@ class TestSalienceOfStats:
                                                 tmp_path):
         out = tmp_path / "run.csv"
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "tome", "--stats",
+                     workspace["dataset"], "--config", "tome", "--stats",
                      tome_stats, "--out-csv", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             self.SALIENCE_OFF_ADAPTIVE_CSV
@@ -777,14 +819,16 @@ class TestSalienceOfStats:
             self, workspace, tome_stats, capsys, command, method,
             calibrated_with):
         stats = workspace["stats"] if calibrated_with else tome_stats
-        argv = ["--config" if command == "compare" else "--method", method]
         assert main([command, "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], *argv, "--stats", stats]) == 2
+                     workspace["dataset"], "--config", method,
+                     "--stats", stats]) == 2
+        # the hint takes r_max from the stats given
         assert capsys.readouterr().err == (
             f"error: {stats}: stats were calibrated with "
             f"salience={calibrated_with}, but the run has "
-            f"salience={not calibrated_with} (method {method}); run `adamerge "
-            f"calibrate --method {method}` for stats of this method\n")
+            f"salience={not calibrated_with} (method {method}); run "
+            f"{calibrate_command(workspace, method, 6)} for stats of this "
+            "method\n")
 
     @staticmethod
     def compare_rows(workspace, tmp_path, configs, stats):
@@ -856,7 +900,7 @@ class TestSalienceOfStats:
         bad = tmp_path / "stats.json"
         bad.write_text(json.dumps(doc))
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge", "--stats",
+                     workspace["dataset"], "--config", "adamerge", "--stats",
                      str(bad)]) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}: unsupported stats version {version!r} (this build "
@@ -871,8 +915,8 @@ class TestUnreadStats:
 
     @pytest.mark.parametrize("command", ["run", "viz"])
     @pytest.mark.parametrize("argv", [
-        ["--method", "tome", "--r", "2"], ["--method", "adamerge", "--r", "0"],
-        ["--method", "none"]], ids=["tome-r", "adamerge-r", "none"])
+        ["--config", "tome:r=2"], ["--config", "adamerge:r=0"],
+        ["--config", "none"]], ids=["tome-r", "adamerge-r", "none"])
     def test_run_and_viz_name_the_unread_file(self, workspace, tmp_path, capsys,
                                               command, argv):
         out = tmp_path / "out.csv"
@@ -887,7 +931,7 @@ class TestUnreadStats:
                                             capsys, command):
         # a second --stats used to replace the first without a word
         assert main([command, "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--method", "adamerge", "--stats",
+                     workspace["dataset"], "--config", "adamerge", "--stats",
                      tome_stats, "--stats", workspace["stats"]]) == 2
         assert capsys.readouterr() == ("", (
             f"error: {tome_stats}: no run reads these stats, since no adaptive "
@@ -930,7 +974,7 @@ class TestRejectedArchives:
         man = tmp_path / which / "manifest.json"
         man.write_text(json.dumps({**json.loads(man.read_text()), "meta": [1]}))
         assert main(["run", "--weights", paths["weights"], "--dataset",
-                     paths["dataset"], "--method", "none"]) == 2
+                     paths["dataset"], "--config", "none"]) == 2
         assert capsys.readouterr().err == (
             f"error: archive at {paths[which]}: meta must be a JSON object, "
             "got [1]\n")
@@ -946,14 +990,14 @@ class TestRejectedArchives:
         doc["tensors"][0][1] = [-1]
         man.write_text(json.dumps(doc))
         assert main(["run", "--weights", paths["weights"], "--dataset",
-                     paths["dataset"], "--method", "none"]) == 2
+                     paths["dataset"], "--config", "none"]) == 2
         assert capsys.readouterr().err == (
             f"error: archive at {paths[which]}: tensor {name}: malformed "
             "shape [-1]\n")
 
     @pytest.mark.parametrize("argv", [
-        ["--method", "adamerge"], ["--method", "tome", "--r", "3"],
-        ["--method", "none"]], ids=["adamerge-adaptive", "tome", "none"])
+        ["--config", "adamerge"], ["--config", "tome:r=3"],
+        ["--config", "none"]], ids=["adamerge-adaptive", "tome", "none"])
     def test_nan_weight_names_the_tensor(self, workspace, tmp_path, capsys,
                                          argv):
         # a NaN over element 5 of block00.w_fc1, the 9th tensor: the
@@ -965,7 +1009,7 @@ class TestRejectedArchives:
         with open(tmp_path / "weights" / "tensors.bin", "r+b") as f:
             f.seek(at)
             f.write(np.float32(np.nan).tobytes())
-        stats = ["--stats", workspace["stats"]] if argv == ["--method", "adamerge"] else []
+        stats = ["--stats", workspace["stats"]] if argv == ["--config", "adamerge"] else []
         assert main(["run", "--weights", bad, "--dataset", workspace["dataset"],
                      *argv, *stats]) == 2
         assert capsys.readouterr().err == (
@@ -985,7 +1029,7 @@ class TestRejectedArchives:
         man.write_text(json.dumps(doc))
         t0 = time.perf_counter()
         assert main(["run", "--weights", bad, "--dataset", workspace["dataset"],
-                     "--method", "none"]) == 2
+                     "--config", "none"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err == (
             f"error: archive at {bad}: missing tensor block04.ln1_gamma; the "
@@ -1008,7 +1052,7 @@ class TestRejectedArchives:
             paths[kind] = str(bad)
         bad.write_bytes(content)
         code = main(["run", "--weights", paths["weights"], "--dataset",
-                     paths["dataset"], "--method", "adamerge", "--stats",
+                     paths["dataset"], "--config", "adamerge", "--stats",
                      paths["stats"], "--labels", paths["labels"]])
         return code, (f"archive at {paths['dataset']}: manifest.json"
                       if kind == "manifest" else str(bad))
@@ -1044,7 +1088,7 @@ class TestRejectedArchives:
         bad = str(tmp_path / "bad")
         save_archive(bad, tensors(images), meta)
         assert main(["run", "--weights", workspace["weights"], "--dataset",
-                     bad, "--method", "none"]) == 2
+                     bad, "--config", "none"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: archive at {bad}: a token dataset holds "
                               "one 3-D tensor 'images', found "), err

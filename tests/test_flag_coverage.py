@@ -4,13 +4,16 @@
 # both S and the flag as string literals, or when one simple statement
 # or `for` loop of tools/digest.py does; that tool runs every subcommand
 # from a single function, so the whole function would prove nothing.
+# Every command the README or an error message shows must parse, so a
+# removed flag cannot linger in a hint or a doc either.
 
 import ast
 import glob
 import os
 import re
+import shlex
 
-from adamerge.cli import main
+from adamerge.cli import main, make_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,3 +54,41 @@ def test_every_flag_of_every_subcommand_is_exercised(capsys):
               if flag != "--help"
               and not any(command in unit and flag in unit for unit in units)]
     assert unused == []
+
+
+def readme_commands():
+    """Each `adamerge ...` command of the README's CLI block, with its
+    continuation lines joined."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("\n## CLI\n")[1].split("```sh\n")[1].split("```")[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("adamerge ")]
+
+
+def quoted_commands():
+    """Each `adamerge ...` command quoted in a string of cli.py; every
+    replacement field of an f-string reads as 1."""
+    for node in ast.walk(parse(os.path.join(ROOT, "src", "adamerge", "cli.py"))):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "1"
+                           for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        yield from re.findall(r"`(adamerge [^`]*)`", text)
+
+
+def test_every_shown_command_parses(capsys):
+    readme, quoted = readme_commands(), list(quoted_commands())
+    commands = re.search(r"\{([\w,-]+)\}", help_text(capsys)).group(1)
+    assert {cmd.split()[1] for cmd in readme} == set(commands.split(","))
+    assert quoted  # the calibrate command of a run without its stats
+    unparsed = []
+    for cmd in readme + quoted:
+        try:
+            make_parser().parse_args(shlex.split(cmd)[1:])
+        except SystemExit:
+            unparsed.append(cmd)
+    assert unparsed == []

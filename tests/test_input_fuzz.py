@@ -34,7 +34,7 @@ def workspace(tmp_path_factory):
         assert main(["synth", "--images", "2", "--tokens", "24", "--dim",
                      "16", "--seed", "4", "--out", paths["data"]]) == 0
         assert main(["calibrate", "--weights", paths["weights"], "--dataset",
-                     paths["data"], "--r-max", "6", "--passes", "1",
+                     paths["data"], "--config", "adamerge:r_max=6", "--passes", "1",
                      "--out", paths["stats.json"]]) == 0
     paths["bad"] = str(root / "bad.json")
     return paths
@@ -115,7 +115,7 @@ def test_one_bad_stats_leaf_runs_or_names_the_file(workspace):
 
     fuzz(workspace["stats.json"], workspace["bad"],
          ["run", "--weights", workspace["weights"], "--dataset",
-          workspace["data"], "--method", "adamerge", "--stats",
+          workspace["data"], "--config", "adamerge", "--stats",
           workspace["bad"]], workspace["bad"], 300, must_fail)
 
 
@@ -127,7 +127,7 @@ def test_one_bad_manifest_leaf_runs_or_names_the_archive(workspace, tmp_path,
     fuzz(os.path.join(workspace[which], "manifest.json"),
          os.path.join(paths[which], "manifest.json"),
          ["run", "--weights", paths["weights"], "--dataset", paths["data"],
-          "--method", "tome", "--r", "2"], f"archive at {paths[which]}",
+          "--config", "tome:r=2"], f"archive at {paths[which]}",
          max_examples)
 
 
@@ -139,7 +139,7 @@ def bad_archive(workspace, tmp_path, which):
     with open(os.path.join(paths[which], "tensors.bin"), "rb") as f:
         blob = f.read()
     argv = ["run", "--weights", paths["weights"], "--dataset", paths["data"],
-            "--method", "adamerge", "--stats", workspace["stats.json"]]
+            "--config", "adamerge", "--stats", workspace["stats.json"]]
     return paths[which], argv, blob
 
 
@@ -208,7 +208,7 @@ def test_one_bad_labels_leaf_runs_or_names_the_file(workspace, tmp_path):
     # with every value
     bad = str(tmp_path / "labels.json")
     argv = ["run", "--weights", workspace["weights"], "--dataset",
-            workspace["data"], "--method", "tome", "--r", "2", "--labels", bad]
+            workspace["data"], "--config", "tome:r=2", "--labels", bad]
     for path in leaves([0, 4]):
         for value in VALUES:
             write_leaf([0, 4], bad, path, value)

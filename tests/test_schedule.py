@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from adamerge.matcher import select_merges
-from adamerge.schedule import (LayerStats, logistic, r_from_z, redundancy_proxy,
-                               zscore)
+from adamerge.schedule import LayerStats, r_from_z, redundancy_proxy, zscore
 
 
 def make_stats(layers=4, mu=0.5, sigma=0.1):
@@ -85,13 +84,22 @@ class TestDecideR:
             zscore(0.5, make_stats(layers=2), 5)
 
 
-class TestTemperature:
-    def test_smaller_t_sharpens(self):
-        for z in (-2.0, -0.4, 0.3, 1.5):
-            for t1, t2 in ((0.5, 1.0), (1.0, 2.0), (0.25, 4.0)):
-                d1 = abs(logistic(z / t1) - 0.5)
-                d2 = abs(logistic(z / t2) - 0.5)
-                assert d1 >= d2
+class TestAlpha:
+    def test_larger_alpha_sharpens(self):
+        # alpha is the schedule's one gain: for a fixed z != 0, a larger
+        # alpha never moves r closer to the midpoint r_max // 2, and here
+        # it moves r away at least once
+        moved = False
+        for r_max in (7, 8):
+            stats = dataclasses.replace(make_stats(), r_max=r_max)
+            for z in (-2.0, -0.4, 0.3, 1.5):
+                for a1, a2 in ((0.5, 1.0), (1.0, 2.0), (0.25, 4.0)):
+                    r1, r2 = (r_from_z(z, dataclasses.replace(stats, alpha=a))
+                              for a in (a1, a2))
+                    assert abs(r2 - r_max // 2) >= abs(r1 - r_max // 2), \
+                        (r_max, z, a1, a2)
+                    moved |= r2 != r1
+        assert moved
 
 
 class TestValidation:

@@ -133,24 +133,24 @@ def cli_digests():
         inputs = ("--weights", path("weights"), "--dataset", path("data"))
 
         for method in ("tome", "adamerge"):
-            cli("calibrate", *inputs, "--r-max", "6",
-                "--method", method, "--out", path(f"{method}.json"))
+            cli("calibrate", *inputs, "--config", f"{method}:r_max=6",
+                "--out", path(f"{method}.json"))
             yield f"calibrate:{method} stats.json", sha256(read(f"{method}.json"))
         stats = ("--stats", path("adamerge.json"))
 
-        for label, argv in (("tome:r=3", ("--method", "tome", "--r", "3",
+        for label, argv in (("tome:r=3", ("--config", "tome:r=3",
                                           "--labels", path("labels.json"))),
-                            ("adamerge:r_max=6", ("--method", "adamerge",
-                                                  "--r-max", "6", *stats))):
+                            ("adamerge:r_max=6", ("--config",
+                                                  "adamerge:r_max=6", *stats))):
             out = cli("run", *inputs, *argv, "--out-csv", path("run.csv"))
             kept = "".join(line for line in out.splitlines(keepends=True)
                            if not line.startswith("wall time:"))
             yield f"run:{label} csv", sha256(read("run.csv"))
             yield f"run:{label} stdout", sha256(kept.encode())
         # an adaptive run on the stats' own alpha
-        cli("calibrate", *inputs, "--r-max", "6", "--alpha", "2",
-            "--out", path("alpha2.json"))
-        cli("run", *inputs, "--method", "adamerge", "--r-max", "6",
+        cli("calibrate", *inputs, "--config", "adamerge:r_max=6",
+            "--alpha", "2", "--out", path("alpha2.json"))
+        cli("run", *inputs, "--config", "adamerge:r_max=6",
             "--stats", path("alpha2.json"), "--out-csv", path("run.csv"))
         yield "run:adamerge:r_max=6 alpha2-stats csv", sha256(read("run.csv"))
 
@@ -166,9 +166,9 @@ def cli_digests():
         yield "compare csv", sha256(repr([r[:k] + r[k + 1:] for r in rows]).encode())
         yield "compare svg", sha256(read("compare.svg"))
 
-        for label, argv in (("tome:r=2", ("--method", "tome", "--r", "2")),
-                            ("adamerge:r_max=6", ("--method", "adamerge",
-                                                  "--r-max", "6", *stats))):
+        for label, argv in (("tome:r=2", ("--config", "tome:r=2")),
+                            ("adamerge:r_max=6", ("--config",
+                                                  "adamerge:r_max=6", *stats))):
             cli("viz", *inputs, *argv, "--image-index", "1",
                 "--out-svg", path("viz.svg"), "--out-csv", path("viz.csv"))
             yield f"viz:{label} svg", sha256(read("viz.svg"))
