@@ -34,6 +34,11 @@ def minmax_normalize(raw: np.ndarray) -> np.ndarray:
 
 
 def salience_of(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(raw, normalized): compute_salience and its minmax_normalize."""
+    """(raw, normalized): compute_salience and its minmax_normalize.
+
+    No tokens give two empty arrays, whose raw sum is 0 = N.
+    """
+    if x.shape[0] == 0:
+        return np.zeros(0), np.zeros(0)
     raw = compute_salience(x)
     return raw, minmax_normalize(raw)

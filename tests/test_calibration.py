@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from adamerge import calibration, data
 from adamerge.runtime import ModelDims, RunConfig, run_images, synth_weights
 from adamerge.schedule import SIGMA_FLOOR, LayerStats
+from committed_digests import committed, sha256
 
 # the bootstrap pass of refine(r_max=6): fixed r = 6 // 2, salience on
 BOOTSTRAP = RunConfig(salience=True, schedule=3)
@@ -106,21 +106,19 @@ class TestRefine:
         with pytest.raises(ValueError):
             calibration.refine(small_model, cal_images, r_max=6, passes=0)
 
-    # pinned stats.json bytes of refine(r_max=6, passes=2) at each
-    # salience setting; version 3's are version 2's without the
-    # temperature line
-    @pytest.mark.parametrize("salience,digest", [
-        (True, "fdae649e3c85081ed0d83810e0a10693"
-               "87313072ee25f1dcd128a8126ddd2b43"),
-        (False, "79a413d472627a7eb1c9369c4ffd478d"
-                "8b7a8e5f95599944016237e9064b7537")], ids=["on", "off"])
+    # stats.json bytes of refine(r_max=6, passes=2) at each salience
+    # setting, against the `calibrate` lines of the same model and images
+    @pytest.mark.parametrize("salience,method", [(True, "adamerge"),
+                                                 (False, "tome")],
+                             ids=["on", "off"])
     def test_two_pass_bytes_are_pinned(self, small_model, cal_images,
-                                       tmp_path, salience, digest):
+                                       tmp_path, salience, method):
         p = tmp_path / "stats.json"
         calibration.save_stats(
             calibration.refine(small_model, cal_images, r_max=6, passes=2,
                                salience=salience), p)
-        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+        assert sha256(p.read_bytes()) == \
+            committed(f"calibrate:{method} on 6x20x16 stats.json")
 
     @pytest.mark.parametrize("field,value", [("alpha", np.nan)])
     def test_bad_schedule_value_fails_before_any_pass(self, small_model,
@@ -154,8 +152,7 @@ class TestPersistence:
         # the field list comes from LayerStats; the bytes must not move
         p = tmp_path / "stats.json"
         calibration.save_stats(self.make_stats(), p)
-        assert hashlib.sha256(p.read_bytes()).hexdigest() == \
-            "df41d6f7692cce9a87567ab0c59a506fa770bd10cff59cb3fffd7d9a8640ff3b"
+        assert sha256(p.read_bytes()) == committed("save_stats stats.json")
 
     def test_golden_fixture(self, tmp_path):
         doc = {"version": 3, "model_id": "vit-b16-test", "num_layers": 12,

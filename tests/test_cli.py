@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import math
 import os
@@ -14,6 +13,7 @@ from adamerge import calibration, data, flops
 from adamerge.archive import save_archive
 from adamerge.cli import build_run_config, main, method_salience, parse_config_spec
 from adamerge.runtime import load_weights, run_images
+from committed_digests import committed, sha256
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +52,8 @@ class TestSynth:
         assert main(["synth", "--images", "3", "--tokens", "8", "--dim", "4",
                      "--redundancy", "0.7", "--seed", "5",
                      "--out", str(tmp_path)]) == 0
-        assert hashlib.sha256((tmp_path / "tensors.bin").read_bytes()).hexdigest() \
-            == "71054293a7977d70faf4ac0eb96716dd17360ada923d138448b204660da2f8ab"
+        assert sha256((tmp_path / "tensors.bin").read_bytes()) == \
+            committed("synth:3x8x4 tensors.bin")
 
     @pytest.mark.parametrize("flag,field", [("--tokens", "n_tokens"),
                                             ("--dim", "dim")])
@@ -323,19 +323,11 @@ class TestViz:
         for layer in range(4):
             assert len(by_layer.get(layer, set())) == 2 * (layer + 1)
 
-    # SHA-256 of image 0's merge map (CSV, SVG), taken while the runtime
-    # still tracked original-token ids; the replay of the recorded edges
-    # must give the same files
-    PINNED = {
-        "tome:r=2": (
-            "0c0f03dd39e9679f40c760e95e7f1d7729f31610b50a8ac607c78a2d87e14c5a",
-            "a6905472a83fbda4bc70de2614977798017d0b2620bcc42b34a1cc420b82aed9"),
-        "adamerge:r_max=6": (
-            "b2fe89dbcd18627960ca5596b0b063d3be9fef79310f7356b6986fa9c5d3184b",
-            "74873a2dd6c49ae404792209ba605154f1c628074bef483fb8f3a3ca826954ce"),
-    }
-
-    @pytest.mark.parametrize("spec", list(PINNED), ids=["tome", "adamerge"])
+    # image 0's merge map (CSV, SVG), pinned while the runtime still
+    # tracked original-token ids; the replay of the recorded edges must
+    # give the same files
+    @pytest.mark.parametrize("spec", ["tome:r=2", "adamerge:r_max=6"],
+                             ids=["tome", "adamerge"])
     def test_merge_map_bytes_are_pinned(self, workspace, tmp_path, spec):
         out_csv, out_svg = tmp_path / "viz.csv", tmp_path / "viz.svg"
         # only the adaptive run reads stats; a fixed r given them exits 2
@@ -343,9 +335,8 @@ class TestViz:
         assert main(["viz", "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--config", spec, *stats,
                      "--out-csv", str(out_csv), "--out-svg", str(out_svg)]) == 0
-        got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in (out_csv, out_svg))
-        assert got == self.PINNED[spec]
+        assert [sha256(p.read_bytes()) for p in (out_csv, out_svg)] == \
+            [committed(f"viz:{spec} image=0 {ext}") for ext in ("csv", "svg")]
 
     def test_out_of_range_index(self, workspace):
         assert main(["viz", "--weights", workspace["weights"], "--dataset",
@@ -796,21 +787,17 @@ class TestSalienceOfStats:
         docs = [json.loads(open(p).read()) for p in (workspace["stats"], tome_stats)]
         assert [doc["salience"] for doc in docs] == [True, False]
 
-    # SHA-256 of the CSV of an adaptive run with salience off on this
-    # workspace, as written before the method names were reduced to
-    # salience settings (then spelled `calibrate --method adp-only` and
-    # `run --method adp-only --stats`)
-    SALIENCE_OFF_ADAPTIVE_CSV = \
-        "c0672a0f6d9c07ed393f7db858bc465bdd98a1407a19f25a11bef3244eab0f2a"
-
+    # the CSV of an adaptive run with salience off on this workspace, as
+    # written before the method names were reduced to salience settings
+    # (then spelled `calibrate --method adp-only` and `run --method
+    # adp-only --stats`)
     def test_tome_on_tome_stats_keeps_its_bytes(self, workspace, tome_stats,
                                                 tmp_path):
         out = tmp_path / "run.csv"
         assert main(["run", "--weights", workspace["weights"], "--dataset",
                      workspace["dataset"], "--config", "tome", "--stats",
                      tome_stats, "--out-csv", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            self.SALIENCE_OFF_ADAPTIVE_CSV
+        assert sha256(out.read_bytes()) == committed("run:tome tome-stats csv")
 
     @pytest.mark.parametrize("command", ["run", "viz", "compare"])
     @pytest.mark.parametrize("method,calibrated_with", [("tome", True),

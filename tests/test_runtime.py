@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import re
 
 import numpy as np
@@ -14,6 +13,7 @@ from adamerge.runtime import (BlockWeights, ModelDims, NonFiniteError,
                               forward_model, load_weights, run_images,
                               save_weights, synth_weights)
 from adamerge.schedule import LayerStats
+from committed_digests import committed, sha256
 
 
 def zero_block(d, d_ff):
@@ -258,6 +258,23 @@ class TestForwardModel:
             want_logits, _ = ref.ref_tome_forward(cls, img, w, r=4)
             assert np.allclose(logits, want_logits, atol=1e-5)
 
+    # an image of no patch tokens: nothing merges, so each run gives the
+    # logits of `none`, and a salience sum of 0 = n where one is computed
+    @pytest.mark.parametrize("cfg", [
+        fixed_cfg("none", 0), fixed_cfg("tome", 3), fixed_cfg("adamerge", 3),
+        RunConfig(salience=False, schedule=3, track_maps=True)],
+        ids=["none", "tome", "adamerge", "tome-maps"])
+    def test_zero_tokens(self, model, cfg):
+        images = np.zeros((1, 0, 16), dtype=np.float32)
+        [(want, _)] = run_images(model, images, fixed_cfg("none", 0))
+        [(logits, trace)] = run_images(model, images, cfg)
+        assert logits.tobytes() == want.tobytes()
+        if trace.merging:
+            salience = 0.0 if cfg.salience or cfg.track_maps else None
+            for rec in trace.layers:
+                assert (rec.n_before, rec.r, rec.empty_b,
+                        rec.raw_salience_sum) == (0, 0, True, salience)
+
 
 class TestNonFinite:
     @pytest.fixture
@@ -408,13 +425,9 @@ class TestWeightsArchive:
         save_weights(synth_weights(9, ModelDims(d=8, heads=2, d_ff=16,
                                                 layers=2, n_classes=3)),
                      str(tmp_path))
-        digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                   for f in ("manifest.json", "tensors.bin")}
-        assert digests == {
-            "manifest.json": "f1bb973f13f4c167b8b97f687db9ef0f"
-                             "cb8968466c6c60ee786db8fb737bdd54",
-            "tensors.bin": "cf3daaf6622d93baa5338f5d54ba4461"
-                           "0aaa0f9919fef3f0a33abba0458e21c3"}
+        for f in ("manifest.json", "tensors.bin"):
+            assert sha256((tmp_path / f).read_bytes()) == \
+                committed(f"synth-weights:d8 {f}"), f
 
     def test_truncated_blob_rejected(self, model, tmp_path):
         p = tmp_path / "weights"

@@ -26,14 +26,18 @@ trace digest, for a change meant to alter only that field.
 
 `--cli` prints instead one digest per output file of the `adamerge`
 commands on a d=16 workspace built in a temporary directory: the
-manifest.json and tensors.bin of `synth-weights` and `synth`, the
-`calibrate` stats.json of `tome` and `adamerge`, the `run` CSVs and
-stdout, the CSV of an adaptive `run` on stats calibrated with
-`--alpha 2` (a run takes alpha only from its stats), the `compare` CSV
+manifest.json and tensors.bin of `synth-weights` and `synth`, for the
+workspace and for a d=8 model and a 3x8x4 dataset; the `calibrate`
+stats.json of `tome` and `adamerge`, on the workspace and on a 6x20x16
+calibration set; the stats.json that `save_stats` writes of hand-built
+stats (the format alone); the `run` CSVs and stdout, the CSVs of
+adaptive runs on stats calibrated with `--alpha 2` (a run takes alpha
+only from its stats) and of `tome` on `tome` stats; the `compare` CSV
 and SVG (its adaptive `tome` and `adamerge` configs each run on the
-stats of their own salience, from two `--stats`), and the `viz` SVG and
-CSV. Wall times are left out: the `run`
-stdout line and the `compare` CSV column.
+stats of their own salience, from two `--stats`); and the `viz` SVG and
+CSV at images 1 and 0. Wall times are left out: the `run` stdout line
+and the `compare` CSV column. No test pastes a digest of its own, so
+`tools/digest.txt` is the one file that pins output bytes.
 """
 
 import argparse
@@ -50,6 +54,7 @@ import numpy as np
 from adamerge import calibration, data
 from adamerge.cli import METHOD_ALIASES, build_run_config, main as cli_main
 from adamerge.runtime import ModelDims, run_images, synth_weights
+from adamerge.schedule import LayerStats
 
 # name -> (dims, tokens per image, seed, non-zero biases and LN betas)
 MODELS = {
@@ -103,7 +108,8 @@ def sha256(data: bytes) -> str:
 
 
 def cli_digests():
-    """(label, digest) of every CLI output on a d=16 workspace."""
+    """(label, digest) of every CLI output on a d=16 workspace, and of
+    save_stats of hand-built stats."""
     with tempfile.TemporaryDirectory() as tmp:
         def path(name):
             return os.path.join(tmp, name)
@@ -127,7 +133,17 @@ def cli_digests():
             "--redundancy", "0.5", "--seed", "4", "--out", path("data"))
         with open(path("labels.json"), "w", encoding="utf-8") as f:
             f.write(str([i % 5 for i in range(8)]))
-        for label, name in (("synth-weights", "weights"), ("synth", "data")):
+        # a smaller model and dataset, and a second calibration set
+        cli("synth-weights", "--dim", "8", "--heads", "2", "--d-ff", "16",
+            "--layers", "2", "--classes", "3", "--seed", "9",
+            "--out", path("weights-d8"))
+        cli("synth", "--images", "3", "--tokens", "8", "--dim", "4",
+            "--redundancy", "0.7", "--seed", "5", "--out", path("data-3x8x4"))
+        cli("synth", "--images", "6", "--tokens", "20", "--dim", "16",
+            "--redundancy", "0.5", "--seed", "21", "--out", path("data-6x20x16"))
+        for label, name in (("synth-weights", "weights"), ("synth", "data"),
+                            ("synth-weights:d8", "weights-d8"),
+                            ("synth:3x8x4", "data-3x8x4")):
             for fname in ("manifest.json", "tensors.bin"):
                 yield f"{label} {fname}", sha256(read(os.path.join(name, fname)))
         inputs = ("--weights", path("weights"), "--dataset", path("data"))
@@ -136,6 +152,18 @@ def cli_digests():
             cli("calibrate", *inputs, "--config", f"{method}:r_max=6",
                 "--out", path(f"{method}.json"))
             yield f"calibrate:{method} stats.json", sha256(read(f"{method}.json"))
+        for method in ("tome", "adamerge"):
+            cli("calibrate", "--weights", path("weights"),
+                "--dataset", path("data-6x20x16"), "--config", f"{method}:r_max=6",
+                "--out", path("stats-6x20x16.json"))
+            yield (f"calibrate:{method} on 6x20x16 stats.json",
+                   sha256(read("stats-6x20x16.json")))
+        # the stats format alone, apart from any numerics
+        calibration.save_stats(LayerStats(
+            model_id="m", mu=np.linspace(0.2, 0.5, 12), sigma=np.full(12, 0.05),
+            r_max=9, alpha=1.0, passes=2, calibration_size=64),
+            path("saved.json"))
+        yield "save_stats stats.json", sha256(read("saved.json"))
         stats = ("--stats", path("adamerge.json"))
 
         for label, argv in (("tome:r=3", ("--config", "tome:r=3",
@@ -153,6 +181,9 @@ def cli_digests():
         cli("run", *inputs, "--config", "adamerge:r_max=6",
             "--stats", path("alpha2.json"), "--out-csv", path("run.csv"))
         yield "run:adamerge:r_max=6 alpha2-stats csv", sha256(read("run.csv"))
+        cli("run", *inputs, "--config", "tome", "--stats", path("tome.json"),
+            "--out-csv", path("run.csv"))
+        yield "run:tome tome-stats csv", sha256(read("run.csv"))
 
         configs = ("none", "tome:r=3", "adamerge:r=3", "adamerge:r_max=6",
                    "adamerge:r_max=4", "tome:r_max=6")
@@ -166,13 +197,15 @@ def cli_digests():
         yield "compare csv", sha256(repr([r[:k] + r[k + 1:] for r in rows]).encode())
         yield "compare svg", sha256(read("compare.svg"))
 
-        for label, argv in (("tome:r=2", ("--config", "tome:r=2")),
-                            ("adamerge:r_max=6", ("--config",
-                                                  "adamerge:r_max=6", *stats))):
-            cli("viz", *inputs, *argv, "--image-index", "1",
-                "--out-svg", path("viz.svg"), "--out-csv", path("viz.csv"))
-            yield f"viz:{label} svg", sha256(read("viz.svg"))
-            yield f"viz:{label} csv", sha256(read("viz.csv"))
+        # image 1, then image 0 at the default index
+        for index, tag in ((("--image-index", "1"), ""), ((), " image=0")):
+            for label, argv in (("tome:r=2", ("--config", "tome:r=2")),
+                                ("adamerge:r_max=6", ("--config",
+                                                      "adamerge:r_max=6", *stats))):
+                cli("viz", *inputs, *argv, *index,
+                    "--out-svg", path("viz.svg"), "--out-csv", path("viz.csv"))
+                yield f"viz:{label}{tag} svg", sha256(read("viz.svg"))
+                yield f"viz:{label}{tag} csv", sha256(read("viz.csv"))
 
 
 def main(argv=None):
