@@ -20,6 +20,11 @@ _FIELDS = tuple(f.name for f in dataclasses.fields(LayerStats))
 _STATS_KEYS = {"version", "num_layers", *_FIELDS}
 
 
+class TooFewTokensError(ValueError):
+    """A calibration image has fewer patch tokens than a merge step needs
+    to score a pair."""
+
+
 def collect_pass(weights: ModelWeights, images, cfg: RunConfig) -> np.ndarray:
     """One calibration pass under `cfg`; returns proxies[L][n_images],
     in image order."""
@@ -57,6 +62,13 @@ def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
     # a bad value fails before any forward pass
     check_schedule(r_max, alpha)
     images = list(images)
+    # below 2 tokens every merge step scores no pair, so every layer's
+    # redundancy reads 0 and the fitted stats saturate any adaptive run
+    for i, img in enumerate(images):
+        if len(img) < 2:
+            raise TooFewTokensError(
+                f"calibration image {i} has n={len(img)} patch tokens; "
+                "calibration needs n >= 2 to score a pair")
     cfg = RunConfig(salience=salience, schedule=r_max // 2)
     for p in range(passes):
         stats = fit_stats(collect_pass(weights, images, cfg),

@@ -143,9 +143,12 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"config {spec!r}: calibrate fits the adaptive schedule "
                          "of tome or adamerge, so it takes method:r_max=N, no r")
     weights, images, _ = _load_inputs(args)
-    stats = calibration.refine(weights, images, opts["r_max"], alpha=args.alpha,
-                               passes=args.passes,
-                               salience=method_salience(method))
+    try:
+        stats = calibration.refine(weights, images, opts["r_max"],
+                                   alpha=args.alpha, passes=args.passes,
+                                   salience=method_salience(method))
+    except calibration.TooFewTokensError as e:
+        raise ValueError(f"{args.dataset}: {e}") from None
     calibration.save_stats(stats, args.out)
     print(f"calibrated {stats.num_layers} layers on {stats.calibration_size} "
           f"images ({stats.passes} passes) -> {args.out}")

@@ -4,7 +4,7 @@
 # score + value 2*n^2*d, MLP 2*n*d*d_ff. The merge overhead is what the
 # merge step runs, counted once per layer and reported separately: the
 # n_a*n_b*d cosine scores whenever B is non-empty, plus the n_patch^2*d
-# affinity matrix on layers that computed salience.
+# affinity matrix when the run computes salience.
 
 from dataclasses import dataclass
 
@@ -74,5 +74,5 @@ def trace_flops(trace, dims) -> FlopsReport:
         total += block_flops(rec.n_before + 1, dims.d, dims.d_ff)  # patches + CLS
         if trace.merging:
             overhead += merge_overhead_flops(
-                rec.n_before, dims.d, rec.raw_salience_sum is not None)
+                rec.n_before, dims.d, trace.config.computes_salience)
     return FlopsReport(total=total, overhead=overhead, baseline=baseline)

@@ -112,7 +112,6 @@ class LayerRecord:
     r: int
     sbar: float
     z: float
-    raw_salience_sum: float | None = None   # None: the step computed no salience
     edges: list = field(default_factory=list)
     sizes_total: int = 0   # sum of token sizes after the merge step
     mean_fallback: bool = False
@@ -121,16 +120,6 @@ class LayerRecord:
     cls_digest_pre: str = ""
     cls_digest_post: str = ""
     rep_salience: list | None = None   # per surviving token, normalized salience
-
-
-@dataclass
-class RunTrace:
-    merging: bool          # False when the run had no merge step
-    layers: list = field(default_factory=list)
-
-    @property
-    def total_merges(self) -> int:
-        return sum(rec.r for rec in self.layers)
 
 
 @dataclass
@@ -159,6 +148,26 @@ class RunConfig:
             raise ValueError(f"schedule must be None, LayerStats or a fixed "
                              f"merge count r >= 0, got r={sched!r}")
 
+    @property
+    def computes_salience(self) -> bool:
+        """Whether each merge step computes salience: the weights of a
+        salience run, or the per-token map of track_maps."""
+        return self.schedule is not None and (self.salience or self.track_maps)
+
+
+@dataclass
+class RunTrace:
+    config: RunConfig      # the config that ran it
+    layers: list = field(default_factory=list)   # one LayerRecord per layer
+
+    @property
+    def merging(self) -> bool:  # False when the run had no merge step
+        return self.config.schedule is not None
+
+    @property
+    def total_merges(self) -> int:
+        return sum(rec.r for rec in self.layers)
+
 
 class NonFiniteError(ValueError):
     """A forward pass produced a NaN or an infinity."""
@@ -167,6 +176,17 @@ class NonFiniteError(ValueError):
 def _check_finite(values: np.ndarray, where: str) -> None:
     if not np.isfinite(values).all():
         raise NonFiniteError(f"{where} is not finite")
+
+
+def _check_shapes(seq: TokenSequence, d: int, where: str = "") -> None:
+    """Name a wrongly shaped input field; np.concatenate names none."""
+    if np.shape(seq.cls) != (d,):
+        raise ValueError(f"{where}the input CLS token has shape "
+                         f"{np.shape(seq.cls)}, expected ({d},) for d={d}")
+    shape = np.shape(seq.patches)
+    if len(shape) != 2 or shape[1] != d:
+        raise ValueError(f"{where}the input patch tokens have shape {shape}, "
+                         f"expected (N, {d}) for d={d}")
 
 
 def _digest(v: np.ndarray) -> str:
@@ -211,8 +231,7 @@ def forward_block(tokens: np.ndarray, block: BlockWeights, dims: ModelDims) -> n
 
 def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
                 cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, LayerRecord]:
-    """Run partition/score/select/merge on the patch tokens, computing
-    salience only when cfg.salience or cfg.track_maps reads it.
+    """Run partition/score/select/merge on the patch tokens.
 
     Returns the merged (patches, sizes) and the layer's record; writes to
     none of its arguments.
@@ -221,12 +240,7 @@ def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
     n_a, n_b = partition(n)
     rec = LayerRecord(layer=layer, n_before=n, n_after=n, r=0, sbar=0.0,
                       z=0.0, sizes_total=int(sizes.sum()))
-    # normalized salience, computed only where something reads it: the
-    # weights of a salience run, or the per-token map of track_maps
-    norm = None
-    if cfg.salience or cfg.track_maps:
-        raw, norm = salience_of(patches)
-        rec.raw_salience_sum = float(raw.sum())
+    norm = salience_of(patches) if cfg.computes_salience else None
     if n_b == 0:
         rec.empty_b = True
         return patches, sizes, rec
@@ -269,8 +283,9 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
 
     Returns (logits, trace); seq_in and its arrays are left as given.
     schedule=None skips merging entirely and is the vanilla ViT forward.
-    Raises NonFiniteError when the input tokens, a block's output or the
-    logits hold a NaN or an infinity.
+    Raises ValueError naming a wrongly shaped input field, and
+    NonFiniteError when the input tokens, a block's output or the logits
+    hold a NaN or an infinity.
     """
     dims = weights.dims
     stats = cfg.schedule
@@ -278,6 +293,7 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
         raise ValueError(
             f"stats cover {stats.num_layers} layers, model has {dims.layers}")
 
+    _check_shapes(seq_in, dims.d)
     cls, patches = seq_in.cls, seq_in.patches.view()  # made read-only below
     # unchecked, a bad input gives a NaN sbar or is blamed on layer 0
     _check_finite(cls, "the input CLS token")
@@ -288,7 +304,7 @@ def forward_model(seq_in: TokenSequence, weights: ModelWeights,
 
     _keep_temporaries_on_heap()
     sizes = np.ones(patches.shape[0], dtype=np.int64)
-    trace = RunTrace(merging=cfg.schedule is not None)
+    trace = RunTrace(config=cfg)
 
     for l, block in enumerate(weights.blocks):
         if not trace.merging:
@@ -320,6 +336,7 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
     """Forward each [N, d] image with a zero CLS token; returns one
     (logits, trace) per image, in image order.
 
+    A wrongly shaped image raises ValueError naming the image and d.
     A non-finite image raises NonFiniteError naming the image and its
     first bad token row; a forward that turns non-finite, the first bad
     weight or, when every weight is finite, the image and the layer.
@@ -329,6 +346,7 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
     for i, img in enumerate(images):
         seq = TokenSequence(cls=np.zeros(d, dtype=np.float32),
                             patches=np.asarray(img, dtype=np.float32))
+        _check_shapes(seq, d, f"on image {i} ")
         try:
             results.append(forward_model(seq, weights, cfg))
         except NonFiniteError as e:

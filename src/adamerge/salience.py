@@ -33,12 +33,8 @@ def minmax_normalize(raw: np.ndarray) -> np.ndarray:
     return np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
 
 
-def salience_of(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(raw, normalized): compute_salience and its minmax_normalize.
-
-    No tokens give two empty arrays, whose raw sum is 0 = N.
-    """
+def salience_of(x: np.ndarray) -> np.ndarray:
+    """minmax_normalize(compute_salience(x)); no tokens give no salience."""
     if x.shape[0] == 0:
-        return np.zeros(0), np.zeros(0)
-    raw = compute_salience(x)
-    return raw, minmax_normalize(raw)
+        return np.zeros(0)
+    return minmax_normalize(compute_salience(x))

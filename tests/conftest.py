@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -38,3 +39,35 @@ def forward_checking_cls(monkeypatch):
 
     monkeypatch.setattr(rt, "forward_block", recording)
     return forward
+
+
+class SalienceCalls(list):
+    """Each `salience_of` call that `runtime` makes, in order, as (patch
+    tokens, total of their raw salience). The raw salience is the column
+    sums of a row-softmaxed affinity, so the total is the token count."""
+
+    def check(self, trace):
+        """One call per layer, on the layer's patch tokens, exactly when
+        the run reads salience; each raw total within 1e-5·n of n."""
+        cfg = trace.config
+        reads = trace.merging and (cfg.salience or cfg.track_maps)
+        assert [n for n, _ in self] == \
+            ([rec.n_before for rec in trace.layers] if reads else [])
+        for n, total in self:
+            assert abs(total - n) <= 1e-5 * n
+
+
+@pytest.fixture
+def salience_calls(monkeypatch):
+    """A SalienceCalls that records the runtime's salience calls."""
+    import adamerge.runtime as rt
+    from adamerge.salience import compute_salience
+    real, calls = rt.salience_of, SalienceCalls()
+
+    def recording(x):
+        raw = compute_salience(x) if x.shape[0] else np.zeros(0)
+        calls.append((x.shape[0], float(raw.sum())))
+        return real(x)
+
+    monkeypatch.setattr(rt, "salience_of", recording)
+    return calls

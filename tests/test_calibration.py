@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ class TestRefine:
     def test_passes_must_be_positive(self, small_model, cal_images):
         with pytest.raises(ValueError):
             calibration.refine(small_model, cal_images, r_max=6, passes=0)
+
+    @pytest.mark.parametrize("tokens", [0, 1])
+    def test_images_of_fewer_than_two_tokens_rejected(self, small_model,
+                                                      cal_images, tokens):
+        images = [cal_images[0], cal_images[1][:tokens]]
+        with pytest.raises(calibration.TooFewTokensError, match=re.escape(
+                f"calibration image 1 has n={tokens} patch tokens")):
+            calibration.refine(small_model, images, r_max=6)
 
     # stats.json bytes of refine(r_max=6, passes=2) at each salience
     # setting, against the `calibrate` lines of the same model and images

@@ -442,6 +442,22 @@ class TestRejectedSchedules:
             "or adamerge, so it takes method:r_max=N, no r\n")
         assert not out.exists()
 
+    def test_calibrate_on_one_token_images_is_data_error(self, workspace,
+                                                         tmp_path, capsys):
+        # one patch token scores no pair, so every layer read sbar = 0 and
+        # the stats saturated every adaptive run at r_max
+        dataset, out = str(tmp_path / "data"), tmp_path / "stats.json"
+        assert main(["synth", "--images", "2", "--tokens", "1", "--dim", "16",
+                     "--out", dataset]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", "--weights", workspace["weights"],
+                     "--dataset", dataset, "--config", "adamerge:r_max=4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: calibration image 0 has n=1 patch tokens; "
+            "calibration needs n >= 2 to score a pair\n")
+        assert not out.exists()
+
     def test_negative_r_is_data_error(self, workspace, capsys):
         base = ["--weights", workspace["weights"], "--dataset",
                 workspace["dataset"]]

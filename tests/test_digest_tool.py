@@ -14,6 +14,9 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+import digest as digest_tool  # noqa: E402
 
 
 def run_tool(*args):
@@ -21,10 +24,6 @@ def run_tool(*args):
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "digest.py"), *args],
         env=env, check=True, capture_output=True).stdout
-
-
-def digest(*args):
-    return run_tool("--models", "d16", "--images", "2", *args)
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +67,13 @@ def test_cli_output_repeats_byte_for_byte(fresh):
     assert all(label.startswith("cli ") for label in labels)
 
 
-def test_skip_leaves_fields_out_of_the_trace_digest():
-    # with the two salience fields skipped, track_maps changes no line of
-    # a salience-off run
-    lines = digest("--skip", "raw_salience_sum",
-                   "--skip", "rep_salience").decode().splitlines()
+def test_skip_leaves_fields_out_of_the_trace_digest(capsys):
+    # with the salience map skipped, track_maps changes no line of a
+    # salience-off run (in this process: the lines, not their repeat
+    # across processes, are under test)
+    digest_tool.main(["--models", "d16", "--images", "2",
+                      "--skip", "rep_salience"])
+    lines = capsys.readouterr().out.splitlines()
     by_label = {}
     for line in lines:
         model, label, image, rest = line.split(" ", 3)
@@ -80,3 +81,18 @@ def test_skip_leaves_fields_out_of_the_trace_digest():
     for (label, image), rest in by_label.items():
         if label.startswith("tome:") and label.endswith(":maps=0"):
             assert by_label[label[:-1] + "1", image] == rest, label
+
+
+def test_skip_of_an_unknown_field_fails_before_any_run(monkeypatch, capsys):
+    # --skip takes only LayerRecord field names; a typo used to print the
+    # lines of no skip
+    def no_model(*args):
+        raise AssertionError("the tool built a model")
+
+    monkeypatch.setattr(digest_tool, "make_model", no_model)
+    with pytest.raises(SystemExit) as exit_:
+        digest_tool.main(["--skip", "no_such_field"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --skip: invalid choice: 'no_such_field'" in err

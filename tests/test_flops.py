@@ -35,13 +35,14 @@ class TestTable1Reductions:
 
 
 class TestTraceFlops:
-    def run_trace(self, method, r, layers=12):
+    def run_trace(self, method, r, layers=12, track_maps=False):
         dims = ModelDims(d=16, heads=2, d_ff=32, layers=layers, n_classes=4)
         w = synth_weights(1, dims)
         img = data.synth_images(1, 196, 16, 0.4, seed=3)[0]
         seq = TokenSequence(cls=np.zeros(16, np.float32), patches=img)
         cfg = RunConfig(salience=method_salience(method),
-                        schedule=None if method == "none" else r)
+                        schedule=None if method == "none" else r,
+                        track_maps=track_maps)
         _, trace = forward_model(seq, w, cfg)
         return trace, dims
 
@@ -59,9 +60,12 @@ class TestTraceFlops:
         assert rep.total == want
 
     def test_overhead_counted_once_per_layer(self):
-        # scoring on every layer; the affinity only where salience ran
-        for method, salience in (("tome", False), ("adamerge", True)):
-            trace, dims = self.run_trace(method, 8)
+        # scoring on every layer; the affinity only where salience ran,
+        # which track_maps makes it do on a salience-off run too
+        for method, maps, salience in (("tome", False, False),
+                                       ("tome", True, True),
+                                       ("adamerge", False, True)):
+            trace, dims = self.run_trace(method, 8, track_maps=maps)
             rep = trace_flops(trace, dims)
             want = sum(merge_overhead_flops(rec.n_before, dims.d, salience)
                        for rec in trace.layers)

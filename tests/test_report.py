@@ -1,7 +1,7 @@
 import pytest
 
 from adamerge.report import merge_map_state
-from adamerge.runtime import LayerRecord, RunTrace
+from adamerge.runtime import LayerRecord, RunConfig, RunTrace
 
 
 def hand_trace(track_maps):
@@ -14,13 +14,14 @@ def hand_trace(track_maps):
     """
     layers = [
         LayerRecord(layer=0, n_before=5, n_after=3, r=2, sbar=0.0, z=0.0,
-                    raw_salience_sum=5.0, edges=[(0, 1, 0.9), (2, 1, 0.8)],
+                    edges=[(0, 1, 0.9), (2, 1, 0.8)],
                     rep_salience=[0.1, 0.5, 1.0] if track_maps else None),
         LayerRecord(layer=1, n_before=3, n_after=2, r=1, sbar=0.0, z=0.0,
-                    raw_salience_sum=3.0, edges=[(1, 0, 0.7)],
+                    edges=[(1, 0, 0.7)],
                     rep_salience=[0.0, 1.0] if track_maps else None),
     ]
-    return RunTrace(merging=True, layers=layers)
+    return RunTrace(config=RunConfig(schedule=2, track_maps=track_maps),
+                    layers=layers)
 
 
 @pytest.mark.parametrize("track_maps", [True, False])
@@ -35,6 +36,7 @@ def test_merge_map_replays_the_edges(track_maps):
 
 def test_merge_free_trace_keeps_every_token():
     layers = [LayerRecord(layer=l, n_before=4, n_after=4, r=0, sbar=0.0,
-                          z=0.0, raw_salience_sum=0.0) for l in range(2)]
-    assert merge_map_state(RunTrace(merging=False, layers=layers)) == \
+                          z=0.0) for l in range(2)]
+    assert merge_map_state(RunTrace(config=RunConfig(schedule=None),
+                                    layers=layers)) == \
         ({}, [{}, {}])

@@ -177,17 +177,15 @@ class TestForwardModel:
             RunConfig(salience=salience, schedule=schedule, track_maps=maps))
         assert trace.total_merges > 0
 
-    def test_salience_conservation_per_layer(self, model, image):
+    def test_salience_conservation_per_layer(self, model, image,
+                                             salience_calls):
         for cfg in (fixed_cfg("adamerge", 4), fixed_cfg("tome", 4),
                     RunConfig(salience=False, schedule=4, track_maps=True)):
+            salience_calls.clear()
             _, trace = forward_model(make_seq(image), model, cfg)
-            for rec in trace.layers:
-                # a sum exactly where the run computes salience
-                assert (rec.raw_salience_sum is not None) == \
-                    (cfg.salience or cfg.track_maps)
-                if rec.raw_salience_sum is not None:
-                    assert abs(rec.raw_salience_sum - rec.n_before) <= \
-                        1e-5 * rec.n_before
+            # a sum of n exactly where the run computes salience
+            salience_calls.check(trace)
+        assert salience_calls  # the track_maps run computed it
 
     @pytest.mark.parametrize("layers", [3, 5])
     def test_stats_of_another_depth_rejected(self, model, image, layers):
@@ -264,16 +262,37 @@ class TestForwardModel:
         fixed_cfg("none", 0), fixed_cfg("tome", 3), fixed_cfg("adamerge", 3),
         RunConfig(salience=False, schedule=3, track_maps=True)],
         ids=["none", "tome", "adamerge", "tome-maps"])
-    def test_zero_tokens(self, model, cfg):
+    def test_zero_tokens(self, model, cfg, salience_calls):
         images = np.zeros((1, 0, 16), dtype=np.float32)
         [(want, _)] = run_images(model, images, fixed_cfg("none", 0))
         [(logits, trace)] = run_images(model, images, cfg)
         assert logits.tobytes() == want.tobytes()
+        salience_calls.check(trace)
         if trace.merging:
-            salience = 0.0 if cfg.salience or cfg.track_maps else None
             for rec in trace.layers:
-                assert (rec.n_before, rec.r, rec.empty_b,
-                        rec.raw_salience_sum) == (0, 0, True, salience)
+                assert (rec.n_before, rec.r, rec.empty_b) == (0, 0, True)
+
+    # np.concatenate used to reject these first, naming no field and no d
+    @pytest.mark.parametrize("cls_shape,patch_shape,why", [
+        ((8,), (10, 16), "CLS token has shape (8,), expected (16,)"),
+        ((16,), (10, 8), "patch tokens have shape (10, 8), expected (N, 16)"),
+        ((16,), (10, 16, 1),
+         "patch tokens have shape (10, 16, 1), expected (N, 16)")],
+        ids=["cls-width", "patch-width", "patch-rank"])
+    @pytest.mark.parametrize("cfg", [fixed_cfg("none", 0),
+                                     fixed_cfg("adamerge", 3)],
+                             ids=["none", "adamerge"])
+    def test_wrong_shape_names_the_field_and_d(self, model, cls_shape,
+                                               patch_shape, why, cfg):
+        seq = TokenSequence(cls=np.zeros(cls_shape, np.float32),
+                            patches=np.ones(patch_shape, np.float32))
+        with pytest.raises(ValueError, match=re.escape(
+                f"the input {why} for d=16") + "$"):
+            forward_model(seq, model, cfg)
+        if cls_shape == (16,):  # run_images makes the CLS token itself
+            with pytest.raises(ValueError, match=re.escape(
+                    f"on image 1 the input {why} for d=16") + "$"):
+                run_images(model, [np.ones((10, 16)), seq.patches], cfg)
 
 
 class TestNonFinite:
@@ -343,20 +362,6 @@ class TestNonFinite:
 
 
 class TestSalienceOnlyWhenRead:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Patch-token counts of every salience_of call the runtime makes."""
-        import adamerge.runtime as rt
-        seen = []
-        real = rt.salience_of
-
-        def counted(x):
-            seen.append(x.shape[0])
-            return real(x)
-
-        monkeypatch.setattr(rt, "salience_of", counted)
-        return seen
-
     @pytest.mark.parametrize("salience,schedule,track_maps,per_layer", [
         (False, None, False, 0),
         (False, 3, False, 0),
@@ -369,16 +374,16 @@ class TestSalienceOnlyWhenRead:
         # off with adaptive stats, sw-only salience on with a fixed r
         ids=["none", "tome", "adp-only", "sw-only", "adamerge",
              "tome-maps", "adp-only-maps"])
-    def test_calls_per_layer(self, model, image, calls, salience, schedule,
-                             track_maps, per_layer):
+    def test_calls_per_layer(self, model, image, salience_calls, salience,
+                             schedule, track_maps, per_layer):
         if schedule == "adaptive":
             schedule = flat_stats(model, salience)
         cfg = RunConfig(salience=salience, schedule=schedule,
                         track_maps=track_maps)
         _, trace = forward_model(make_seq(image), model, cfg)
-        assert len(calls) == per_layer * len(trace.layers)
-        if per_layer:
-            assert calls == [rec.n_before for rec in trace.layers]
+        assert len(salience_calls) == per_layer * len(trace.layers)
+        assert cfg.computes_salience == bool(per_layer)
+        salience_calls.check(trace)
 
     @pytest.mark.parametrize("schedule", [3, "adaptive"],
                              ids=["fixed", "adaptive"])
@@ -396,8 +401,7 @@ class TestSalienceOnlyWhenRead:
             key = lambda rec: (rec.r, rec.edges, rec.sizes_total, rec.sbar, rec.z)
             assert [key(rec) for rec in t0.layers] == \
                 [key(rec) for rec in t1.layers]
-            assert all(rec.rep_salience is None and rec.raw_salience_sum is None
-                       for rec in t0.layers)
+            assert all(rec.rep_salience is None for rec in t0.layers)
             assert all(rec.rep_salience is not None for rec in t1.layers)
 
 

@@ -21,8 +21,9 @@ The grid: a d=16 model with zero biases and a d=64 model with non-zero
 biases and LN betas; `none`, and `tome` and `adamerge` at fixed r = 0, 3
 and an r above |A| and on the adaptive schedule of stats calibrated on
 the same images with their own salience setting; each merging run with
-track_maps off and on. `--skip FIELD` leaves a record field out of the
-trace digest, for a change meant to alter only that field.
+track_maps off and on. `--skip FIELD` leaves a `LayerRecord` field out
+of the trace digest, for a change meant to alter only that field; any
+other name is a usage error.
 
 `--cli` prints instead one digest per output file of the `adamerge`
 commands on a d=16 workspace built in a temporary directory: the
@@ -53,7 +54,7 @@ import numpy as np
 
 from adamerge import calibration, data
 from adamerge.cli import METHOD_ALIASES, build_run_config, main as cli_main
-from adamerge.runtime import ModelDims, run_images, synth_weights
+from adamerge.runtime import LayerRecord, ModelDims, run_images, synth_weights
 from adamerge.schedule import LayerStats
 
 # name -> (dims, tokens per image, seed, non-zero biases and LN betas)
@@ -214,6 +215,7 @@ def main(argv=None):
                    default=list(MODELS))
     p.add_argument("--images", type=int, default=4)
     p.add_argument("--skip", action="append", default=[],
+                   choices=[f.name for f in dataclasses.fields(LayerRecord)],
                    help="LayerRecord field to leave out of the trace digest")
     p.add_argument("--cli", action="store_true",
                    help="digest the CLI's output files instead of the runs")
