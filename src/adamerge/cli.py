@@ -117,11 +117,10 @@ def _accuracy(results, labels):
 
 def cmd_synth(args) -> int:
     images = data.synth_images(args.images, args.tokens, args.dim,
-                               args.redundancy, args.seed,
-                               k_prototypes=args.prototypes)
+                               args.redundancy, args.seed)
     data.save_dataset(args.out, images,
                       meta={"redundancy": args.redundancy, "seed": args.seed,
-                            "k_prototypes": args.prototypes})
+                            "k_prototypes": data.PROTOTYPES})
     print(f"wrote {args.images} images ({args.tokens}x{args.dim}, "
           f"rho={args.redundancy}) to {args.out}")
     return EXIT_OK
@@ -144,8 +143,7 @@ def cmd_calibrate(args) -> int:
                          "of tome or adamerge, so it takes method:r_max=N, no r")
     weights, images, _ = _load_inputs(args)
     try:
-        stats = calibration.refine(weights, images, opts["r_max"],
-                                   alpha=args.alpha, passes=args.passes,
+        stats = calibration.refine(weights, images, opts["r_max"], alpha=args.alpha,
                                    salience=method_salience(method))
     except calibration.TooFewTokensError as e:
         raise ValueError(f"{args.dataset}: {e}") from None
@@ -352,7 +350,6 @@ def make_parser() -> _Parser:
     p.add_argument("--tokens", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--redundancy", type=float, default=0.5)
-    p.add_argument("--prototypes", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -370,7 +367,6 @@ def make_parser() -> _Parser:
     p = with_inputs("calibrate", stats=False,
                     help="fit per-layer (mu, sigma) stats for method:r_max=N")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--passes", type=int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 

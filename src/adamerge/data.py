@@ -1,7 +1,8 @@
 # Synthetic token datasets with a controllable redundancy level, stored
 # in the tensor-archive format as one [n_images, n_tokens, dim] tensor
 # `images`. Each image is a post-embedding token matrix: ceil(rho * N)
-# tokens are noisy copies of up to K prototypes, the rest are i.i.d.
+# tokens are noisy copies of the image's PROTOTYPES gaussian prototypes
+# (token t copies prototype t mod PROTOTYPES), the rest are i.i.d.
 # gaussian.
 
 import math
@@ -12,11 +13,11 @@ from .archive import ArchiveError, load_archive, save_archive
 from .schedule import _is_int
 
 PROTOTYPE_NOISE = 0.05
-MAX_PROTOTYPES = 4
+PROTOTYPES = 4
 
 
 def synth_images(n_images: int, n_tokens: int, dim: int, redundancy: float,
-                 seed: int, k_prototypes: int = MAX_PROTOTYPES) -> np.ndarray:
+                 seed: int) -> np.ndarray:
     """Seed-deterministic [n_images, n_tokens, dim] float32 batch."""
     for name, v in (("n_images", n_images), ("n_tokens", n_tokens),
                     ("dim", dim)):
@@ -24,19 +25,16 @@ def synth_images(n_images: int, n_tokens: int, dim: int, redundancy: float,
             raise ValueError(f"{name} must be >= 1, got {name}={v}")
     if not 0.0 <= redundancy <= 1.0:
         raise ValueError(f"redundancy must be in [0, 1], got {redundancy}")
-    if not 1 <= k_prototypes <= MAX_PROTOTYPES:
-        raise ValueError(
-            f"k_prototypes must be in [1, {MAX_PROTOTYPES}], got {k_prototypes}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got seed={seed!r}")
     rng = np.random.default_rng(seed)
     images = np.empty((n_images, n_tokens, dim), dtype=np.float32)
     for i in range(n_images):
         n_red = math.ceil(redundancy * n_tokens)
-        protos = rng.normal(0.0, 1.0, size=(k_prototypes, dim))
+        protos = rng.normal(0.0, 1.0, size=(PROTOTYPES, dim))
         img = rng.normal(0.0, 1.0, size=(n_tokens, dim))
         for t in range(n_red):
-            img[t] = protos[t % k_prototypes] + \
+            img[t] = protos[t % PROTOTYPES] + \
                 rng.normal(0.0, PROTOTYPE_NOISE, size=dim)
         images[i] = img.astype(np.float32)
     return images

@@ -115,15 +115,16 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray | None,
         raise ValueError(
             f"decision built for {n_a + decision.n_b} tokens, got {n}")
 
-    if salience is not None:
-        salience = np.asarray(salience, dtype=np.float64)
-        new_b_sal = salience[n_a:].copy()
     sizes = np.asarray(sizes, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    new_b = patches[n_a:].copy()
-    new_b_sizes = sizes[n_a:].copy()
+    keep = np.array(decision.survivors, dtype=np.intp)
+    out_patches, out_sizes, out_salience = patches[keep], sizes[keep], None
+    if salience is not None:
+        salience = np.asarray(salience, dtype=np.float64)
+        out_salience = salience[keep]
 
     mean_fallback = False
+    b_row = len(decision.keep_a)  # output row of B token 0
     for j, sources in decision.groups.items():
         members = [n_a + j] + list(sources)
         feats = patches[members].astype(np.float64)
@@ -134,16 +135,10 @@ def execute_merge(patches: np.ndarray, salience: np.ndarray | None,
             merged = feats.mean(axis=0)
         else:
             merged = (w[:, None] * feats).sum(axis=0) / wsum
-        new_b[j] = merged.astype(DTYPE)
+        out_patches[b_row + j] = merged.astype(DTYPE)
         if salience is not None:
-            new_b_sal[j] = salience[members].max()
-        new_b_sizes[j] = sizes[members].sum()
-
-    keep_a = decision.keep_a
-    out_patches = np.concatenate([patches[keep_a], new_b], axis=0)
-    out_salience = (None if salience is None
-                    else np.concatenate([salience[keep_a], new_b_sal]))
-    out_sizes = np.concatenate([sizes[keep_a], new_b_sizes])
+            out_salience[b_row + j] = salience[members].max()
+        out_sizes[b_row + j] = sizes[members].sum()
     return out_patches, out_salience, out_sizes, mean_fallback
 
 

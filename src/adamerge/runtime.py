@@ -243,6 +243,8 @@ def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
     norm = salience_of(patches) if cfg.computes_salience else None
     if n_b == 0:
         rec.empty_b = True
+        if cfg.track_maps:
+            rec.rep_salience = [float(s) for s in norm]
         return patches, sizes, rec
 
     # the only difference between the two settings: which vectors weight

@@ -272,8 +272,7 @@ def test_criterion_9_end_to_end_smoke(tmp_path):
     assert main(["synth", "--images", "64", "--tokens", "196", "--dim", "64",
                  "--redundancy", "0.6", "--seed", "9", "--out", dataset]) == 0
     assert main(["calibrate", "--weights", weights, "--dataset", dataset,
-                 "--config", "adamerge:r_max=16", "--passes", "2",
-                 "--out", stats]) == 0
+                 "--config", "adamerge:r_max=16", "--out", stats]) == 0
     assert main(["run", "--weights", weights, "--dataset", dataset,
                  "--config", "adamerge:r_max=16", "--stats", stats,
                  "--out-csv", run_csv]) == 0

@@ -308,9 +308,13 @@ class TestSynthData:
         assert diffs.min() > 0.2
 
     def test_rho_one_single_prototype_near_duplicates(self):
-        imgs = data.synth_images(1, 10, 4, 1.0, seed=2, k_prototypes=1)
-        diffs = np.linalg.norm(imgs[0] - imgs[0][0], axis=-1)
-        assert diffs.max() < 0.5
+        # token t is a noisy copy of the single prototype t % 4
+        img = data.synth_images(1, 10, 4, 1.0, seed=2)[0]
+        diffs = np.linalg.norm(img[:, None] - img[None, :], axis=-1)
+        proto = np.arange(10) % data.PROTOTYPES
+        same = proto[:, None] == proto[None, :]
+        assert diffs[same].max() < 0.5
+        assert diffs[~same].min() > 0.5
 
     def test_seed_determinism_byte_equality(self, tmp_path):
         for k in range(2):

@@ -29,8 +29,7 @@ def workspace(tmp_path_factory):
     assert main(["synth", "--images", "8", "--tokens", "24", "--dim", "16",
                  "--redundancy", "0.5", "--seed", "4", "--out", dataset]) == 0
     assert main(["calibrate", "--weights", weights, "--dataset", dataset,
-                 "--config", "adamerge:r_max=6", "--passes", "2",
-                 "--out", stats]) == 0
+                 "--config", "adamerge:r_max=6", "--out", stats]) == 0
     return {"root": root, "weights": weights, "dataset": dataset,
             "stats": stats}
 
@@ -90,25 +89,6 @@ class TestSynth:
         assert (a / "tensors.bin").read_bytes() == \
             (b / "tensors.bin").read_bytes()
 
-    def test_prototype_count_changes_the_images(self, tmp_path):
-        blobs = []
-        for k in ("1", "4"):
-            out = tmp_path / k
-            assert main(["synth", "--images", "2", "--tokens", "8", "--dim",
-                         "4", "--prototypes", k, "--out", str(out)]) == 0
-            blobs.append((out / "tensors.bin").read_bytes())
-        assert blobs[0] != blobs[1]
-
-    @pytest.mark.parametrize("k", ["0", "5"])
-    def test_prototype_count_out_of_range_is_data_error(self, tmp_path, capsys,
-                                                        k):
-        out = tmp_path / "data"
-        assert main(["synth", "--images", "2", "--tokens", "8", "--dim", "4",
-                     "--prototypes", k, "--out", str(out)]) == 2
-        assert f"error: k_prototypes must be in [1, 4], got {k}\n" == \
-            capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command,sizes", [
         ("synth", ["--images", "1", "--tokens", "4", "--dim", "2"]),
         ("synth-weights", ["--dim", "4", "--heads", "1", "--d-ff", "4",
@@ -138,10 +118,10 @@ class TestCalibrate:
         assert main(["calibrate", "--weights", workspace["weights"],
                      "--dataset", workspace["dataset"],
                      "--config", "adamerge:r_max=5",
-                     "--alpha", "2", "--passes", "1", "--out", str(out)]) == 0
+                     "--alpha", "2", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        # alpha is the one gain
-        assert (doc["r_max"], doc["alpha"], doc["passes"]) == (5, 2.0, 1)
+        # alpha is the one gain; calibrate runs refine's two passes
+        assert (doc["r_max"], doc["alpha"], doc["passes"]) == (5, 2.0, 2)
 
 
 class TestRun:
@@ -359,6 +339,7 @@ class TestExitCodes:
         ["viz", "--config", "adamerge", "--alpha", "2"],
         ["viz", "--config", "adamerge", "--temperature", "2"],
         ["calibrate", "--config", "adamerge:r_max=6", "--temperature", "2"],
+        ["calibrate", "--config", "adamerge:r_max=6", "--passes", "2"],
         *([command, "--config", "tome:r_max=6", flag, value]
           for command in ("calibrate", "run", "compare", "viz")
           for flag, value in (("--method", "tome"), ("--r", "3"),
@@ -366,7 +347,7 @@ class TestExitCodes:
         ids=["run-include-overhead", "compare-include-overhead",
              "compare-alpha", "compare-temperature", "run-alpha",
              "run-temperature", "viz-alpha", "viz-temperature",
-             "calibrate-temperature",
+             "calibrate-temperature", "calibrate-passes",
              *(f"{command}-{flag}" for command in ("calibrate", "run",
                                                    "compare", "viz")
                for flag in ("method", "r", "r-max"))])
@@ -374,7 +355,8 @@ class TestExitCodes:
                                             argv):
         # the overhead is always shown; alpha and temperature come from the
         # stats, and calibrate's --alpha is the schedule's one gain; a
-        # --config spec names the method, r and r_max of every command
+        # --config spec names the method, r and r_max of every command;
+        # calibrate always runs refine's two passes
         command, *rest = argv
         out = tmp_path / "out"
         assert main([command, "--weights", workspace["weights"], "--dataset",
@@ -382,6 +364,14 @@ class TestExitCodes:
                      *(["--out", str(out)] if command == "calibrate" else [])]) == 1
         assert "unrecognized arguments: " + " ".join(rest[2:]) in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_synth_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the generator draws a fixed 4 prototypes per image
+        out = tmp_path / "data"
+        assert main(["synth", "--images", "2", "--tokens", "8", "--dim", "4",
+                     "--prototypes", "4", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --prototypes 4" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,argv", [
@@ -704,7 +694,7 @@ def tome_stats(workspace):
     path = str(workspace["root"] / "tome.json")
     assert main(["calibrate", "--weights", workspace["weights"], "--dataset",
                  workspace["dataset"], "--config", "tome:r_max=6",
-                 "--passes", "2", "--out", path]) == 0
+                 "--out", path]) == 0
     return path
 
 

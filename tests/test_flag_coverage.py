@@ -44,16 +44,31 @@ def literal_sets():
             yield strings(node)
 
 
-def test_every_flag_of_every_subcommand_is_exercised(capsys):
+def options(capsys):
+    """(subcommand, flag) of every option that a subcommand's --help lists."""
     commands = re.search(r"\{([\w,-]+)\}", help_text(capsys)).group(1)
+    return sorted({(command, flag) for command in commands.split(",")
+                   for flag in re.findall(r"--[a-z][a-z-]*",
+                                          help_text(capsys, command))
+                   if flag != "--help"})
+
+
+def test_every_flag_of_every_subcommand_is_exercised(capsys):
     units = list(literal_sets())
-    unused = [(command, flag)
-              for command in commands.split(",")
-              for flag in sorted(set(re.findall(r"--[a-z][a-z-]*",
-                                                help_text(capsys, command))))
-              if flag != "--help"
-              and not any(command in unit and flag in unit for unit in units)]
+    unused = [(command, flag) for command, flag in options(capsys)
+              if not any(command in unit and flag in unit for unit in units)]
     assert unused == []
+
+
+def test_option_count(capsys):
+    # A ratchet on the CLI's size: a change that adds an option moves this
+    # number and justifies the option under the Options rule of
+    # ROADMAP.md aim 2 (a caller outside the tests sets a second value,
+    # or it is an input, a path or a method hyperparameter); one that
+    # removes an option lowers it.
+    opts = options(capsys)
+    assert len({command for command, _ in opts}) == 6
+    assert len(opts) == 38
 
 
 def readme_commands():

@@ -34,7 +34,7 @@ def workspace(tmp_path_factory):
         assert main(["synth", "--images", "2", "--tokens", "24", "--dim",
                      "16", "--seed", "4", "--out", paths["data"]]) == 0
         assert main(["calibrate", "--weights", paths["weights"], "--dataset",
-                     paths["data"], "--config", "adamerge:r_max=6", "--passes", "1",
+                     paths["data"], "--config", "adamerge:r_max=6",
                      "--out", paths["stats.json"]]) == 0
     paths["bad"] = str(root / "bad.json")
     return paths

@@ -385,24 +385,30 @@ class TestSalienceOnlyWhenRead:
         assert cfg.computes_salience == bool(per_layer)
         salience_calls.check(trace)
 
-    @pytest.mark.parametrize("schedule", [3, "adaptive"],
-                             ids=["fixed", "adaptive"])
-    def test_maps_leave_a_salience_off_run_unchanged(self, model, schedule):
+    # r=200 on 8 tokens leaves one token at layer 3, which has no pair
+    # to merge but still shows its salience on the map
+    @pytest.mark.parametrize("salience,schedule,n_tokens", [
+        (False, 3, 24), (False, "adaptive", 24), (False, 200, 8),
+        (True, 200, 8)], ids=["fixed", "adaptive", "tome-r200", "adamerge-r200"])
+    def test_maps_leave_a_salience_off_run_unchanged(self, model, salience,
+                                                     schedule, n_tokens):
         if schedule == "adaptive":
             schedule = flat_stats(model, salience=False)
 
         def run(img, track_maps):
             return forward_model(make_seq(img), model, RunConfig(
-                salience=False, schedule=schedule, track_maps=track_maps))
+                salience=salience, schedule=schedule, track_maps=track_maps))
 
-        for img in data.synth_images(3, 24, 16, 0.5, seed=12):
+        for img in data.synth_images(3, n_tokens, 16, 0.5, seed=12):
             (l0, t0), (l1, t1) = run(img, False), run(img, True)
             assert l0.tobytes() == l1.tobytes()
             key = lambda rec: (rec.r, rec.edges, rec.sizes_total, rec.sbar, rec.z)
             assert [key(rec) for rec in t0.layers] == \
                 [key(rec) for rec in t1.layers]
             assert all(rec.rep_salience is None for rec in t0.layers)
-            assert all(rec.rep_salience is not None for rec in t1.layers)
+            assert all(len(rec.rep_salience) == rec.n_after for rec in t1.layers)
+        if n_tokens == 8:
+            assert [rec.n_before for rec in t1.layers] == [8, 4, 2, 1]
 
 
 class TestWeightsArchive:
