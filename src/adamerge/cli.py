@@ -90,7 +90,7 @@ def _load_inputs(args):
             f"{args.dataset}: tokens have dim {images.shape[2]}, but the "
             f"weights at {args.weights} have d={weights.dims.d}")
     path, labels = getattr(args, "labels", None), None
-    if path:
+    if path is not None:
         labels = read_json(path)
         if not isinstance(labels, list) or len(labels) != len(images):
             raise ValueError(
@@ -181,7 +181,7 @@ def cmd_run(args) -> int:
     [(_, method, cfg)] = _resolve_configs(args, weights)
 
     results, row = _measure(weights, images, cfg, labels)
-    if args.out_csv:
+    if args.out_csv is not None:
         report.write_run_csv(args.out_csv,
                              [(i, tr) for i, (_, tr) in enumerate(results)])
     acc = row["accuracy"]
@@ -295,9 +295,9 @@ def cmd_compare(args) -> int:
         print(f"{r['config']:<28} {r['flops_g']:>10.4g} "
               f"{r['flops_reduction_pct']:>7.1f}% {r['overhead_g']:>10.4g} "
               f"{r['mean_merges']:>8.1f} {acc:>8} {r['wall_time_s']:>8.3f}")
-    if args.out_csv:
+    if args.out_csv is not None:
         report.write_compare_csv(args.out_csv, rows)
-    if args.out_svg:
+    if args.out_svg is not None:
         report.line_chart_svg(args.out_svg, series, xlabel="FLOPs (G)",
                               ylabel="mean merges",
                               title="FLOPs vs merge budget")
@@ -315,9 +315,9 @@ def cmd_viz(args) -> int:
     cfg = dataclasses.replace(cfg, track_maps=True)
     [(_, trace)] = run_images(weights, [images[args.image_index]], cfg)
     n_tokens = images.shape[1]
-    if args.out_svg:
+    if args.out_svg is not None:
         report.write_merge_map_svg(args.out_svg, trace, n_tokens)
-    if args.out_csv:
+    if args.out_csv is not None:
         report.write_merge_map_csv(args.out_csv, trace, n_tokens)
     print(f"image {args.image_index}: {trace.total_merges} tokens merged "
           f"over {len(trace.layers)} layers")

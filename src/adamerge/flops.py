@@ -40,32 +40,19 @@ def merge_overhead_flops(n_patch: int, d: int, salience: bool) -> int:
     return cost
 
 
-def model_flops(token_lengths, d: int, d_ff: int) -> int:
-    """Sum of block costs for a per-layer token-length schedule."""
-    return sum(block_flops(n, d, d_ff) for n in token_lengths)
-
-
-def fixed_schedule_lengths(n_patch0: int, r: int, layers: int) -> list:
-    """Per-layer token counts of a fixed-r schedule, N_l = 1 + n0 - r*l.
-
-    Layer 0 is charged at the full input length; merges at layer l show
-    up in the cost of layer l+1 onward. This matches the reduction-table
-    convention of ToMe-style accounting, where merging happens after a
-    layer's attention. This runtime merges before each block, so block l
-    executes on 1 + n0 - r*(l+1) tokens: for r=8 at N=196, L=12 the table
-    claims a 27.6% reduction where the blocks execute 32.3% less at d=64,
-    and 23.0% against 27.1% at ViT-B dims (d=768, d_ff=3072).
-    """
-    return [max(n_patch0 - r * l, 0) + 1 for l in range(layers)]
-
-
 def trace_flops(trace, dims) -> FlopsReport:
     """FLOPs of an actual run versus its merge-free baseline.
 
     Each layer is charged at the sequence length entering its merge step
-    (patches + CLS), so a fixed-r run reproduces the
-    N_l = 1 + n0 - r*l schedule of fixed_schedule_lengths; each block then
-    executes on the n_after + 1 tokens that leave its merge step.
+    (patches + CLS), so a fixed-r run is charged N_l = 1 + n0 - r*l
+    tokens at layer l: layer 0 at the full input length, the merges at
+    layer l in the cost of layer l+1 onward. This is the reduction-table
+    convention of ToMe-style accounting, where merging happens after a
+    layer's attention. This runtime merges before each block, so block l
+    executes on the n_after + 1 = 1 + n0 - r*(l+1) tokens that leave its
+    merge step: for r=8 at N=196, L=12 the table claims a 27.6%
+    reduction where the blocks execute 32.3% less at d=64, and 23.0%
+    against 27.1% at ViT-B dims (d=768, d_ff=3072).
     """
     n0 = trace.layers[0].n_before if trace.layers else 0
     baseline = len(trace.layers) * block_flops(n0 + 1, dims.d, dims.d_ff)

@@ -50,13 +50,12 @@ def write_compare_csv(path: str, rows) -> None:
 
 def line_chart_svg(path: str, series: dict, xlabel: str, ylabel: str,
                    title: str = "") -> None:
-    """One polyline per series; series maps name -> list of (x, y)."""
+    """One polyline per series; series maps name -> list of (x, y),
+    with at least one point over all series."""
     width, height = CHART_SIZE
     pad = 60
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 - x0 < 1e-12:

@@ -12,10 +12,10 @@ import pytest
 import naive_reference as ref
 from adamerge import calibration, data
 from adamerge.cli import main, method_salience
-from adamerge.flops import fixed_schedule_lengths, model_flops
+from adamerge.flops import trace_flops
 from adamerge.matcher import reconstruction_gap, select_merges
 from adamerge.runtime import (ModelDims, RunConfig, TokenSequence,
-                              forward_model, synth_weights)
+                              forward_model, run_images, synth_weights)
 from adamerge.schedule import LayerStats, r_from_z, zscore
 
 from test_matcher import brute_force_select
@@ -31,13 +31,27 @@ def fixed_cfg(method, r):
 
 
 def test_criterion_1_table1_flops_reduction():
-    """Fixed-r ToMe schedules reproduce Table-1 FLOPs reductions +-1pp."""
+    """Fixed-r ToMe runs reproduce Table-1 FLOPs reductions +-1pp.
+
+    A fixed-r run's token counts do not depend on the width, so a narrow
+    12-layer model runs the schedules and trace_flops charges each trace
+    at ViT-B/16 dims."""
     t0 = time.perf_counter()
     table = {3: 8.7, 4: 11.6, 5: 14.4, 6: 17.3, 7: 20.1, 8: 23.0}
-    base = model_flops([197] * 12, 768, 3072)
+    weights = synth_weights(0, ModelDims(d=16, heads=2, d_ff=32, layers=12,
+                                         n_classes=4))
+    image = data.synth_images(1, 196, 16, 0.5, seed=0)
+    vitb = ModelDims(d=768, heads=12, d_ff=3072, layers=12, n_classes=1000)
+
+    def charged(cfg):
+        [(_, trace)] = run_images(weights, image, cfg)
+        return trace_flops(trace, vitb)
+
+    base = charged(fixed_cfg("none", 0)).total
     for r, want in table.items():
-        total = model_flops(fixed_schedule_lengths(196, r, 12), 768, 3072)
-        red = 100.0 * (1 - total / base)
+        rep = charged(fixed_cfg("tome", r))
+        assert rep.baseline == base
+        red = rep.reduction_pct
         assert abs(red - want) <= 1.0, f"r={r}: {red:.2f}% vs {want}%"
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -230,6 +230,17 @@ class TestCompare:
         svg = open(out_svg).read()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_chart_of_one_point(self, workspace, tmp_path):
+        # one config spans no FLOPs or merges range: each axis widens to
+        # +-0.5 around it, which puts the one point at the plot's centre
+        out_svg = tmp_path / "cmp.svg"
+        assert main(["compare", "--weights", workspace["weights"],
+                     "--dataset", workspace["dataset"], "--config", "none",
+                     "--out-svg", str(out_svg)]) == 0
+        svg = out_svg.read_text()
+        assert svg.count("<circle") == 1
+        assert '<circle cx="320.00" cy="220.00" r="3"' in svg
+
     def test_labels_give_accuracy(self, workspace, tmp_path):
         labels = tmp_path / "labels.json"
         labels.write_text(json.dumps([0] * 8))
@@ -387,6 +398,18 @@ class TestExitCodes:
                      *(["--out", str(out)] if command == "calibrate" else [])]) == 1
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--labels"), ("run", "--out-csv"), ("compare", "--labels"),
+        ("compare", "--out-csv"), ("compare", "--out-svg"),
+        ("viz", "--out-svg"), ("viz", "--out-csv")])
+    def test_empty_path_is_data_error(self, workspace, capsys, command, flag):
+        # an empty path names no file; it is not the same as no flag
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "tome:r=3",
+                     flag, ""]) == 2
+        assert capsys.readouterr().err == \
+            "error: [Errno 2] No such file or directory: ''\n"
 
     def test_data_error_is_two(self, tmp_path):
         assert main(["run", "--weights", str(tmp_path / "nope"),
@@ -598,6 +621,15 @@ class TestRejectedModelSizes:
         assert not out.exists()
 
 
+    def test_dim_not_divisible_by_heads_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "weights"
+        assert main(["synth-weights", "--dim", "10", "--heads", "3", "--d-ff",
+                     "32", "--layers", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: d=10 not divisible by heads=3\n"
+        assert not out.exists()
+
+
 class TestEmptyDataset:
     @pytest.mark.parametrize("command", ["calibrate", "run", "compare", "viz"])
     def test_empty_dataset_is_data_error(self, workspace, tmp_path, capsys,
@@ -745,6 +777,13 @@ class TestOneSpellingPerRun:
             "for an adaptive one; run "
             f"{calibrate_command(workspace, method, 'N')} for stats of this "
             "method\n")
+
+    @pytest.mark.parametrize("method", ["tome", "adamerge"])
+    def test_library_config_needs_r_or_stats(self, method):
+        # the guard for a library caller, which no CLI check stands before
+        with pytest.raises(ValueError, match=f"^method {method} needs r for a "
+                           "fixed schedule or stats for an adaptive one$"):
+            build_run_config(method)
 
     @pytest.mark.parametrize("command", ["run", "viz", "compare"])
     def test_r_and_r_max_together_are_data_error(self, workspace, capsys,
@@ -899,6 +938,15 @@ class TestSalienceOfStats:
             f"error: {bad}: unsupported stats version {version!r} (this build "
             "reads version 3; re-run `adamerge calibrate`)\n")
 
+    def test_stats_not_an_object_is_data_error(self, workspace, tmp_path,
+                                               capsys):
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps([1, 2]))
+        assert main(["run", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "adamerge", "--stats",
+                     str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not a stats object\n"
+
 
 class TestUnreadStats:
     # stats that no run reads would leave the schedule they hold unapplied
@@ -971,6 +1019,20 @@ class TestRejectedArchives:
         assert capsys.readouterr().err == (
             f"error: archive at {paths[which]}: meta must be a JSON object, "
             "got [1]\n")
+
+    @pytest.mark.parametrize("which", ["weights", "dataset"])
+    def test_manifest_without_tensor_list_is_data_error(self, workspace,
+                                                        tmp_path, capsys, which):
+        paths = {k: workspace[k] for k in ("weights", "dataset")}
+        paths[which] = str(shutil.copytree(workspace[which], tmp_path / which))
+        man = tmp_path / which / "manifest.json"
+        doc = json.loads(man.read_text())
+        del doc["tensors"]
+        man.write_text(json.dumps(doc))
+        assert main(["run", "--weights", paths["weights"], "--dataset",
+                     paths["dataset"], "--config", "none"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: archive at {paths[which]}: manifest has no tensor list\n")
 
     @pytest.mark.parametrize("which", ["weights", "dataset"])
     def test_error_names_the_bad_archive(self, workspace, tmp_path, capsys,

@@ -1,7 +1,8 @@
 # Method names ("tome", "adamerge", ...) belong to the command line. The
 # library modules take the two knobs of a RunConfig (salience on/off and
 # a schedule), so none of them may import the CLI, hold an alias table
-# or spell a method name. No module starts a thread or a process.
+# or spell a method name. No module starts a thread or a process. Every
+# definition has a caller outside the tests.
 
 import ast
 import glob
@@ -12,8 +13,8 @@ import pytest
 import adamerge
 from adamerge.cli import METHOD_ALIASES
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "adamerge")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "adamerge")
 LIBRARY = ("runtime", "calibration", "schedule", "matcher", "salience",
            "numeric", "flops")
 
@@ -64,3 +65,39 @@ def test_no_module_starts_threads_or_processes():
                     assert name.partition(".")[0] not in (
                         "threading", "_thread", "concurrent", "multiprocessing"), \
                         f"{os.path.basename(path)} imports {name} (line {node.lineno})"
+
+
+def parsed(*dirs):
+    """(path, tree) of every .py file under the repo directories dirs."""
+    for d in dirs:
+        for path in sorted(glob.glob(os.path.join(ROOT, d, "**", "*.py"),
+                                     recursive=True)):
+            with open(path, encoding="utf-8") as f:
+                yield path, ast.parse(f.read())
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    # a function, class or method that only the tests reach is code that
+    # nothing runs; an export of adamerge/__init__.py is public API, and a
+    # method of a subclass may be called by its base (as _Parser.error is)
+    used = set(adamerge.__all__)
+    for _, tree in parsed("src", "tools", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for path, tree in parsed(os.path.join("src", "adamerge")):
+        for node in tree.body:
+            if isinstance(node, defs) and node.name not in used:
+                unused.append(f"{os.path.basename(path)}:{node.name}")
+            if isinstance(node, ast.ClassDef) and not node.bases:
+                unused += [f"{os.path.basename(path)}:{node.name}.{m.name}"
+                           for m in node.body if isinstance(m, defs)
+                           and not m.name.startswith("__")
+                           and m.name not in used]
+    assert not unused, unused

@@ -34,6 +34,10 @@ class TestMatmul:
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(rnd((2, 3)), rnd((2, 2)))
 
+    def test_operand_not_2d_names_shapes(self):
+        with pytest.raises(ValueError, match=r"2-D operands, got \(3,\) and \(3, 2\)"):
+            matmul(rnd((3,)), rnd((3, 2)))
+
     def test_transpose_relation(self):
         a, b = rnd((6, 6), 4), rnd((6, 6), 5)
         assert np.allclose(matmul(a, b).T, matmul(b.T.copy(), a.T.copy()),
@@ -89,6 +93,10 @@ class TestCosineMatrix:
         a, b = rnd((6, 5), 9) * 3, rnd((7, 5), 10) * 3
         out = cosine_matrix(a, b)
         assert np.all(out >= -1 - 1e-6) and np.all(out <= 1 + 1e-6)
+
+    def test_dim_mismatch_names_shapes(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\) vs \(4, 5\)"):
+            cosine_matrix(rnd((2, 3)), rnd((4, 5)))
 
 
 class TestLayerNorm:
