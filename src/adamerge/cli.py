@@ -232,7 +232,9 @@ def _resolve_configs(args, weights):
     """(spec, method, RunConfig) of every --config of a command, all
     resolved before the first one runs. Each adaptive run reads the one
     --stats file calibrated with its method's salience; a file that no
-    run reads is an error, since its schedule would silently not apply."""
+    run reads is an error, since its schedule would silently not apply.
+    Last, the --out-csv and --out-svg paths are opened, so that one that
+    cannot be written exits 2 before the first forward."""
     runs = [(spec, *parse_config_spec(spec)) for spec in args.config]
     given = {}  # salience -> (path, stats)
     for path in args.stats or ():
@@ -274,6 +276,9 @@ def _resolve_configs(args, weights):
                    if read - {None} else "a fixed r and method none read none")
             raise ValueError(f"{path}: no run reads these stats, since {why}; "
                              "leave this --stats out")
+    for path in (args.out_csv, getattr(args, "out_svg", None)):
+        if path is not None:  # appending keeps an existing file's bytes
+            open(path, "a").close()
     return resolved
 
 

@@ -231,22 +231,16 @@ def forward_block(tokens: np.ndarray, block: BlockWeights, dims: ModelDims) -> n
 
 def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
                 cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, LayerRecord]:
-    """Run partition/score/select/merge on the patch tokens.
+    """Run partition/score/select/merge on the patch tokens, one path for
+    every layer: below two tokens B is empty, so no pair is scored, sbar
+    is 0 and nothing merges.
 
     Returns the merged (patches, sizes) and the layer's record; writes to
     none of its arguments.
     """
     n = patches.shape[0]
     n_a, n_b = partition(n)
-    rec = LayerRecord(layer=layer, n_before=n, n_after=n, r=0, sbar=0.0,
-                      z=0.0, sizes_total=int(sizes.sum()))
     norm = salience_of(patches) if cfg.computes_salience else None
-    if n_b == 0:
-        rec.empty_b = True
-        if cfg.track_maps:
-            rec.rep_salience = [float(s) for s in norm]
-        return patches, sizes, rec
-
     # the only difference between the two settings: which vectors weight
     # the scores (salience or none) and the group means (salience or sizes)
     if cfg.salience:
@@ -254,26 +248,24 @@ def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
     else:
         score_w, merge_w = None, sizes
     scores = weighted_scores(patches[:n_a], patches[n_a:], score_w)
-    rec.sbar = redundancy_proxy(scores)
+    sbar = redundancy_proxy(scores)
 
     sched = cfg.schedule
     if isinstance(sched, LayerStats):
-        rec.z = zscore(rec.sbar, sched, layer)
-        r = r_from_z(rec.z, sched)
+        z = zscore(sbar, sched, layer)
+        r = r_from_z(z, sched)
     else:
-        r = sched
+        z, r = 0.0, sched
 
     decision = select_merges(scores, r)
-    merged, sal_out, merged_sizes, rec.mean_fallback = execute_merge(
+    merged, sal_out, merged_sizes, mean_fallback = execute_merge(
         patches, norm, sizes, decision, merge_w)
-    rec.r = decision.r
-    rec.r_clamped = decision.r_clamped
-    rec.edges = decision.edges
-    rec.n_after = merged.shape[0]
-    rec.sizes_total = int(merged_sizes.sum())
-    if cfg.track_maps:
-        rec.rep_salience = [float(s) for s in sal_out]
-    return merged, merged_sizes, rec
+    return merged, merged_sizes, LayerRecord(
+        layer=layer, n_before=n, n_after=merged.shape[0], r=decision.r,
+        sbar=sbar, z=z, edges=decision.edges,
+        sizes_total=int(merged_sizes.sum()), mean_fallback=mean_fallback,
+        r_clamped=decision.r_clamped, empty_b=n_b == 0,
+        rep_salience=[float(s) for s in sal_out] if cfg.track_maps else None)
 
 
 # numpy's invalid-value and overflow warnings would only precede the

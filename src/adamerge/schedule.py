@@ -95,7 +95,8 @@ def logistic(z: float) -> float:
 
 
 def redundancy_proxy(scores: np.ndarray) -> float:
-    """Mean over A rows of the best matching score; 0 for an empty A."""
+    """Mean over A rows of the best matching score; 0 when no pair is
+    scored (an empty A or B)."""
     if scores.size == 0:
         return 0.0
     return float(scores.astype(np.float64).max(axis=1).mean())

@@ -411,6 +411,37 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: [Errno 2] No such file or directory: ''\n"
 
+    # each --out-csv and --out-svg is opened before the first forward, so
+    # a path that cannot be written costs no forward and no partial output
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--out-csv"), ("compare", "--out-csv"), ("compare", "--out-svg"),
+        ("viz", "--out-svg"), ("viz", "--out-csv")])
+    def test_bad_output_path_fails_before_any_forward(
+            self, workspace, tmp_path, capsys, monkeypatch, command, flag):
+        def no_forward(*args):
+            raise AssertionError(f"{command} ran a forward")
+
+        monkeypatch.setattr("adamerge.cli.run_images", no_forward)
+        bad = str(tmp_path / "missing" / "out")
+        assert main([command, "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "tome:r=3",
+                     flag, bad]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {bad!r}\n")
+
+    @pytest.mark.parametrize("before", [None, b"kept\n"], ids=["new", "existing"])
+    def test_compare_writes_no_rows_before_a_bad_svg_path(
+            self, workspace, tmp_path, capsys, before):
+        out_csv, bad = tmp_path / "c.csv", str(tmp_path / "missing" / "x.svg")
+        if before is not None:
+            out_csv.write_bytes(before)
+        assert main(["compare", "--weights", workspace["weights"], "--dataset",
+                     workspace["dataset"], "--config", "tome:r=3", "--config",
+                     "none", "--out-csv", str(out_csv), "--out-svg", bad]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {bad!r}\n")
+        assert out_csv.read_bytes() == (before or b"")
+
     def test_data_error_is_two(self, tmp_path):
         assert main(["run", "--weights", str(tmp_path / "nope"),
                      "--dataset", str(tmp_path / "nope2"),

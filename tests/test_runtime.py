@@ -12,7 +12,7 @@ from adamerge.runtime import (BlockWeights, ModelDims, NonFiniteError,
                               RunConfig, TokenSequence, forward_block,
                               forward_model, load_weights, run_images,
                               save_weights, synth_weights)
-from adamerge.schedule import LayerStats
+from adamerge.schedule import LayerStats, zscore
 from committed_digests import committed, sha256
 
 
@@ -82,6 +82,14 @@ def flat_stats(model, salience=True):
     return LayerStats(model_id=model.model_id, mu=np.zeros(4),
                       sigma=np.full(4, 0.1), r_max=6, alpha=1.0,
                       passes=1, calibration_size=1, salience=salience)
+
+
+def offset_stats(salience, mu=0.5):
+    """Stats of the module's model, mu at every layer and sigma 0.1: an
+    sbar of 0 reads z = -10 * mu, not 0."""
+    return LayerStats(model_id="synth-11", mu=np.full(4, mu),
+                      sigma=np.full(4, 0.1), r_max=6, alpha=1.0, passes=1,
+                      calibration_size=1, salience=salience)
 
 
 class TestForwardModel:
@@ -257,11 +265,15 @@ class TestForwardModel:
             assert np.allclose(logits, want_logits, atol=1e-5)
 
     # an image of no patch tokens: nothing merges, so each run gives the
-    # logits of `none`, and a salience sum of 0 = n where one is computed
+    # logits of `none`, and a salience sum of 0 = n where one is computed;
+    # an adaptive run's z is still the z-score of the layer's sbar of 0
     @pytest.mark.parametrize("cfg", [
         fixed_cfg("none", 0), fixed_cfg("tome", 3), fixed_cfg("adamerge", 3),
-        RunConfig(salience=False, schedule=3, track_maps=True)],
-        ids=["none", "tome", "adamerge", "tome-maps"])
+        RunConfig(salience=False, schedule=3, track_maps=True),
+        RunConfig(salience=False, schedule=offset_stats(salience=False)),
+        RunConfig(salience=True, schedule=offset_stats(salience=True))],
+        ids=["none", "tome", "adamerge", "tome-maps", "tome-adaptive",
+             "adamerge-adaptive"])
     def test_zero_tokens(self, model, cfg, salience_calls):
         images = np.zeros((1, 0, 16), dtype=np.float32)
         [(want, _)] = run_images(model, images, fixed_cfg("none", 0))
@@ -271,6 +283,28 @@ class TestForwardModel:
         if trace.merging:
             for rec in trace.layers:
                 assert (rec.n_before, rec.r, rec.empty_b) == (0, 0, True)
+                assert rec.sbar == 0.0
+                assert rec.z == (zscore(0.0, cfg.schedule, rec.layer)
+                                 if isinstance(cfg.schedule, LayerStats) else 0.0)
+
+    # every adaptive record holds the z-score of its own sbar, also on a
+    # layer with an empty B (all of them at n=1, the last two at n=6),
+    # whose sbar is 0
+    @pytest.mark.parametrize("n,empty_b", [
+        (1, [True] * 4), (6, [False, False, True, True])], ids=["n1", "n6"])
+    @pytest.mark.parametrize("salience", [False, True],
+                             ids=["tome", "adamerge"])
+    def test_z_is_the_zscore_of_sbar_on_every_layer(self, model, salience, n,
+                                                    empty_b):
+        stats = offset_stats(salience, mu=-1.0)  # z ~ 10: all of A merges
+        img = np.random.default_rng(3).normal(size=(n, 16)).astype(np.float32)
+        _, trace = forward_model(make_seq(img), model,
+                                 RunConfig(salience=salience, schedule=stats))
+        assert [rec.empty_b for rec in trace.layers] == empty_b
+        for rec in trace.layers:
+            assert rec.z == zscore(rec.sbar, stats, rec.layer)
+            if rec.empty_b:
+                assert (rec.sbar, rec.r, rec.n_after) == (0.0, 0, rec.n_before)
 
     # np.concatenate used to reject these first, naming no field and no d
     @pytest.mark.parametrize("cls_shape,patch_shape,why", [
