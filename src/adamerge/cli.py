@@ -143,10 +143,12 @@ def cmd_calibrate(args) -> int:
                          "of tome or adamerge, so it takes method:r_max=N, no r")
     weights, images, _ = _load_inputs(args)
     try:
-        stats = calibration.refine(weights, images, opts["r_max"], alpha=args.alpha,
-                                   salience=method_salience(method))
+        calibration.check_refine_inputs(images, opts["r_max"], args.alpha)
     except calibration.TooFewTokensError as e:
         raise ValueError(f"{args.dataset}: {e}") from None
+    open(args.out, "a").close()  # before any forward, as _resolve_configs does
+    stats = calibration.refine(weights, images, opts["r_max"], alpha=args.alpha,
+                               salience=method_salience(method))
     calibration.save_stats(stats, args.out)
     print(f"calibrated {stats.num_layers} layers on {stats.calibration_size} "
           f"images ({stats.passes} passes) -> {args.out}")
@@ -182,8 +184,7 @@ def cmd_run(args) -> int:
 
     results, row = _measure(weights, images, cfg, labels)
     if args.out_csv is not None:
-        report.write_run_csv(args.out_csv,
-                             [(i, tr) for i, (_, tr) in enumerate(results)])
+        report.write_run_csv(args.out_csv, [tr for _, tr in results])
     acc = row["accuracy"]
     print(f"method={method} images={len(images)}")
     print(f"mean total merges: {row['mean_merges']:.2f}")
@@ -303,9 +304,7 @@ def cmd_compare(args) -> int:
     if args.out_csv is not None:
         report.write_compare_csv(args.out_csv, rows)
     if args.out_svg is not None:
-        report.line_chart_svg(args.out_svg, series, xlabel="FLOPs (G)",
-                              ylabel="mean merges",
-                              title="FLOPs vs merge budget")
+        report.line_chart_svg(args.out_svg, series)
     return EXIT_OK
 
 
@@ -319,11 +318,10 @@ def cmd_viz(args) -> int:
     [(_, _, cfg)] = _resolve_configs(args, weights)
     cfg = dataclasses.replace(cfg, track_maps=True)
     [(_, trace)] = run_images(weights, [images[args.image_index]], cfg)
-    n_tokens = images.shape[1]
     if args.out_svg is not None:
-        report.write_merge_map_svg(args.out_svg, trace, n_tokens)
+        report.write_merge_map_svg(args.out_svg, trace)
     if args.out_csv is not None:
-        report.write_merge_map_csv(args.out_csv, trace, n_tokens)
+        report.write_merge_map_csv(args.out_csv, trace)
     print(f"image {args.image_index}: {trace.total_merges} tokens merged "
           f"over {len(trace.layers)} layers")
     return EXIT_OK

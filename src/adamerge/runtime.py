@@ -259,7 +259,7 @@ def _merge_step(patches: np.ndarray, sizes: np.ndarray, layer: int,
 
     decision = select_merges(scores, r)
     merged, sal_out, merged_sizes, mean_fallback = execute_merge(
-        patches, norm, sizes, decision, merge_w)
+        patches, norm if cfg.track_maps else None, sizes, decision, merge_w)
     return merged, merged_sizes, LayerRecord(
         layer=layer, n_before=n, n_after=merged.shape[0], r=decision.r,
         sbar=sbar, z=z, edges=decision.edges,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -11,7 +12,8 @@ import pytest
 
 from adamerge import calibration, data, flops
 from adamerge.archive import save_archive
-from adamerge.cli import build_run_config, main, method_salience, parse_config_spec
+from adamerge.cli import (build_run_config, main, make_parser, method_salience,
+                          parse_config_spec)
 from adamerge.runtime import load_weights, run_images
 from committed_digests import committed, sha256
 
@@ -32,6 +34,17 @@ def workspace(tmp_path_factory):
                  "--config", "adamerge:r_max=6", "--out", stats]) == 0
     return {"root": root, "weights": weights, "dataset": dataset,
             "stats": stats}
+
+
+def output_options():
+    """(command, flag) of every option whose dest starts with "out", on
+    the commands that take --weights (and so run forwards)."""
+    [sub] = [a for a in make_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0])
+            for command, p in sub.choices.items()
+            if any(a.dest == "weights" for a in p._actions)
+            for action in p._actions if action.dest.startswith("out")]
 
 
 class TestSynth:
@@ -411,21 +424,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: [Errno 2] No such file or directory: ''\n"
 
-    # each --out-csv and --out-svg is opened before the first forward, so
-    # a path that cannot be written costs no forward and no partial output
-    @pytest.mark.parametrize("command,flag", [
-        ("run", "--out-csv"), ("compare", "--out-csv"), ("compare", "--out-svg"),
-        ("viz", "--out-svg"), ("viz", "--out-csv")])
+    # every output path of a command that forwards is opened before the
+    # first forward, so a path that cannot be written costs no forward and
+    # no partial output
+    @pytest.mark.parametrize("command,flag", output_options())
     def test_bad_output_path_fails_before_any_forward(
             self, workspace, tmp_path, capsys, monkeypatch, command, flag):
         def no_forward(*args):
             raise AssertionError(f"{command} ran a forward")
 
-        monkeypatch.setattr("adamerge.cli.run_images", no_forward)
+        monkeypatch.setattr("adamerge.runtime.forward_model", no_forward)
         bad = str(tmp_path / "missing" / "out")
+        spec = "adamerge:r_max=6" if command == "calibrate" else "tome:r=3"
         assert main([command, "--weights", workspace["weights"], "--dataset",
-                     workspace["dataset"], "--config", "tome:r=3",
-                     flag, bad]) == 2
+                     workspace["dataset"], "--config", spec, flag, bad]) == 2
         assert capsys.readouterr() == (
             "", f"error: [Errno 2] No such file or directory: {bad!r}\n")
 

@@ -444,6 +444,31 @@ class TestSalienceOnlyWhenRead:
         if n_tokens == 8:
             assert [rec.n_before for rec in t1.layers] == [8, 4, 2, 1]
 
+    # execute_merge carries the salience through a merge, as each group's
+    # max, only for the track_maps record that viz draws
+    @pytest.mark.parametrize("track_maps", [False, True])
+    def test_merge_carries_salience_only_under_maps(self, model, image,
+                                                    monkeypatch, track_maps):
+        import adamerge.runtime as rt
+        computed, carried = [], []
+        real_salience, real_merge = rt.salience_of, rt.execute_merge
+
+        def salience_of(x):
+            computed.append(real_salience(x))
+            return computed[-1]
+
+        def execute_merge(patches, salience, *args):
+            carried.append(salience)
+            return real_merge(patches, salience, *args)
+
+        monkeypatch.setattr(rt, "salience_of", salience_of)
+        monkeypatch.setattr(rt, "execute_merge", execute_merge)
+        cfg = dataclasses.replace(fixed_cfg("adamerge", 3), track_maps=track_maps)
+        _, trace = forward_model(make_seq(image), model, cfg)
+        assert len(carried) == len(computed) == len(trace.layers)
+        want = computed if track_maps else [None] * len(computed)
+        assert all(c is w for c, w in zip(carried, want))
+
 
 class TestWeightsArchive:
     def test_round_trip(self, model, tmp_path):
