@@ -52,18 +52,6 @@ def fit_stats(samples: np.ndarray, *, model_id: str, r_max: int,
                       calibration_size=samples.shape[1], salience=salience)
 
 
-def check_refine_inputs(images, r_max, alpha) -> None:
-    """Raise ValueError unless refine can fit r_max and alpha on images."""
-    check_schedule(r_max, alpha)
-    # below 2 tokens every merge step scores no pair, so every layer's
-    # redundancy reads 0 and the fitted stats saturate any adaptive run
-    for i, img in enumerate(images):
-        if len(img) < 2:
-            raise TooFewTokensError(
-                f"calibration image {i} has n={len(img)} patch tokens; "
-                "calibration needs n >= 2 to score a pair")
-
-
 def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
            passes: int = 2, salience: bool = True) -> LayerStats:
     """Iterative refinement: bootstrap pass at fixed r = r_max // 2, then
@@ -72,7 +60,14 @@ def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     images = list(images)
-    check_refine_inputs(images, r_max, alpha)  # before any forward pass
+    check_schedule(r_max, alpha)  # before any forward pass
+    # below 2 tokens every merge step scores no pair, so every layer's
+    # redundancy reads 0 and the fitted stats saturate any adaptive run
+    for i, img in enumerate(images):
+        if len(img) < 2:
+            raise TooFewTokensError(
+                f"calibration image {i} has n={len(img)} patch tokens; "
+                "calibration needs n >= 2 to score a pair")
     cfg = RunConfig(salience=salience, schedule=r_max // 2)
     for p in range(passes):
         stats = fit_stats(collect_pass(weights, images, cfg),

@@ -5,6 +5,7 @@
 
 import argparse
 import dataclasses
+import os
 import shlex
 import sys
 import time
@@ -143,12 +144,11 @@ def cmd_calibrate(args) -> int:
                          "of tome or adamerge, so it takes method:r_max=N, no r")
     weights, images, _ = _load_inputs(args)
     try:
-        calibration.check_refine_inputs(images, opts["r_max"], args.alpha)
+        stats = calibration.refine(weights, images, opts["r_max"],
+                                   alpha=args.alpha,
+                                   salience=method_salience(method))
     except calibration.TooFewTokensError as e:
         raise ValueError(f"{args.dataset}: {e}") from None
-    open(args.out, "a").close()  # before any forward, as _resolve_configs does
-    stats = calibration.refine(weights, images, opts["r_max"], alpha=args.alpha,
-                               salience=method_salience(method))
     calibration.save_stats(stats, args.out)
     print(f"calibrated {stats.num_layers} layers on {stats.calibration_size} "
           f"images ({stats.passes} passes) -> {args.out}")
@@ -233,9 +233,7 @@ def _resolve_configs(args, weights):
     """(spec, method, RunConfig) of every --config of a command, all
     resolved before the first one runs. Each adaptive run reads the one
     --stats file calibrated with its method's salience; a file that no
-    run reads is an error, since its schedule would silently not apply.
-    Last, the --out-csv and --out-svg paths are opened, so that one that
-    cannot be written exits 2 before the first forward."""
+    run reads is an error, since its schedule would silently not apply."""
     runs = [(spec, *parse_config_spec(spec)) for spec in args.config]
     given = {}  # salience -> (path, stats)
     for path in args.stats or ():
@@ -277,9 +275,6 @@ def _resolve_configs(args, weights):
                    if read - {None} else "a fixed r and method none read none")
             raise ValueError(f"{path}: no run reads these stats, since {why}; "
                              "leave this --stats out")
-    for path in (args.out_csv, getattr(args, "out_svg", None)):
-        if path is not None:  # appending keeps an existing file's bytes
-            open(path, "a").close()
     return resolved
 
 
@@ -399,14 +394,30 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # A command that forwards opens its outputs before any work, so a path
+    # that cannot be written costs no forward, and removes the ones it
+    # created unless it succeeds, so a failed command leaves no output.
+    outs = ([path for dest, path in vars(args).items()
+             if dest.startswith("out") and path is not None]
+            if hasattr(args, "weights") else [])
+    created = []
     try:
-        return args.func(args)
-    except NonFiniteError as e:  # only a command with --weights forwards
-        print(f"error: archive at {args.weights}: {e}", file=sys.stderr)
-        return EXIT_DATA
+        for path in outs:
+            new = not os.path.lexists(path)  # a file, device or link found stays
+            open(path, "a").close()  # appending keeps an existing file's bytes
+            if new:
+                created.append(path)
+        code = args.func(args)
+        created = []
+        return code
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # only a command with --weights forwards, so only it can raise this
+        where = f"archive at {args.weights}: " if isinstance(e, NonFiniteError) else ""
+        print(f"error: {where}{e}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        for path in created:
+            os.remove(path)
 
 
 if __name__ == "__main__":

@@ -123,18 +123,14 @@ def _heat_color(v: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def merge_map_state(trace):
-    """Per-layer survival/salience state of every original token.
-
-    Returns (merged_at, salience_by_layer): merged_at maps original token
-    index -> layer it was absorbed (absent = survived); salience_by_layer
-    is, per layer, a dict original-token -> normalized salience of the
-    token currently representing it. Rebuilt by replaying each layer's
-    edges through the matcher's partition and survivor order.
-    """
-    merged_at = {}
-    sal_layers = []
-    reps = list(range(trace.layers[0].n_before)) if trace.layers else []
+def merge_map_cells(trace):
+    """Per layer, (record, cells): for each token t entering layer 0, (the
+    layer that absorbed t or None, whether that layer is at or before this
+    one, the normalized salience of t's representative or None). Rebuilt
+    by replaying each layer's edges through the matcher's partition and
+    survivor order, which give the original token at each position."""
+    tokens = range(trace.layers[0].n_before)
+    merged_at, sal_layers, reps = {}, [], list(tokens)
     for rec in trace.layers:
         for src, _, _ in rec.edges:
             merged_at.setdefault(reps[src], rec.layer)
@@ -142,17 +138,9 @@ def merge_map_state(trace):
                 MergeDecision(*partition(rec.n_before), rec.edges).survivors]
         sal_layers.append({} if rec.rep_salience is None
                           else dict(zip(reps, rec.rep_salience)))
-    return merged_at, sal_layers
-
-
-def merge_map_cells(trace):
-    """Per layer, (record, cells): for each token t entering layer 0, (the
-    layer that absorbed t or None, whether that layer is at or before this
-    one, the normalized salience of t's representative or None)."""
-    merged_at, sal_layers = merge_map_state(trace)
     for rec, sal in zip(trace.layers, sal_layers):
         yield rec, [(merged_at.get(t), t in merged_at and merged_at[t] <= rec.layer,
-                     sal.get(t)) for t in range(trace.layers[0].n_before)]
+                     sal.get(t)) for t in tokens]
 
 
 def write_merge_map_csv(path: str, trace) -> None:

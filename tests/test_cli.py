@@ -47,6 +47,18 @@ def output_options():
             for action in p._actions if action.dest.startswith("out")]
 
 
+def nan_weights(workspace, tmp_path):
+    """A copy of the workspace weights with a NaN over element 5 of
+    block00.w_fc1, the 9th tensor; returns its path."""
+    bad = str(shutil.copytree(workspace["weights"], tmp_path / "weights"))
+    at = 8 + 4 * (5 + sum(math.prod(shape) for _, shape in json.loads(
+        (tmp_path / "weights" / "manifest.json").read_text())["tensors"][:8]))
+    with open(tmp_path / "weights" / "tensors.bin", "r+b") as f:
+        f.seek(at)
+        f.write(np.float32(np.nan).tobytes())
+    return bad
+
+
 class TestSynth:
     def test_rerun_byte_identical(self, tmp_path):
         outs = []
@@ -452,7 +464,32 @@ class TestExitCodes:
                      "none", "--out-csv", str(out_csv), "--out-svg", bad]) == 2
         assert capsys.readouterr() == (
             "", f"error: [Errno 2] No such file or directory: {bad!r}\n")
-        assert out_csv.read_bytes() == (before or b"")
+        if before is None:  # main removes an output it created
+            assert not out_csv.exists()
+        else:
+            assert out_csv.read_bytes() == before
+
+    # main removes the outputs a failed command created, so a calibrate
+    # that fails mid-pass leaves no empty stats file for a later --stats
+    @pytest.mark.parametrize("before", [None, b"kept\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("command,flag", output_options())
+    def test_failed_forward_leaves_no_new_output(
+            self, workspace, tmp_path, capsys, command, flag, before):
+        bad = nan_weights(workspace, tmp_path)
+        out = tmp_path / "out"
+        if before is not None:
+            out.write_bytes(before)
+        spec = "adamerge:r_max=6" if command == "calibrate" else "tome:r=3"
+        assert main([command, "--weights", bad, "--dataset",
+                     workspace["dataset"], "--config", spec,
+                     flag, str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: archive at {bad}: tensor block00.w_fc1 holds nan at "
+            "index (0, 5)\n")
+        if before is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == before
 
     def test_data_error_is_two(self, tmp_path):
         assert main(["run", "--weights", str(tmp_path / "nope"),
@@ -1098,15 +1135,9 @@ class TestRejectedArchives:
         ["--config", "none"]], ids=["adamerge-adaptive", "tome", "none"])
     def test_nan_weight_names_the_tensor(self, workspace, tmp_path, capsys,
                                          argv):
-        # a NaN over element 5 of block00.w_fc1, the 9th tensor: the
-        # adaptive run used to fail converting a NaN z to an int, and the
-        # fixed ones exited 0 with NaN logits
-        bad = str(shutil.copytree(workspace["weights"], tmp_path / "weights"))
-        at = 8 + 4 * (5 + sum(math.prod(shape) for _, shape in json.loads(
-            (tmp_path / "weights" / "manifest.json").read_text())["tensors"][:8]))
-        with open(tmp_path / "weights" / "tensors.bin", "r+b") as f:
-            f.seek(at)
-            f.write(np.float32(np.nan).tobytes())
+        # the adaptive run used to fail converting a NaN z to an int, and
+        # the fixed ones exited 0 with NaN logits
+        bad = nan_weights(workspace, tmp_path)
         stats = ["--stats", workspace["stats"]] if argv == ["--config", "adamerge"] else []
         assert main(["run", "--weights", bad, "--dataset", workspace["dataset"],
                      *argv, *stats]) == 2

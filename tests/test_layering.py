@@ -2,7 +2,8 @@
 # library modules take the two knobs of a RunConfig (salience on/off and
 # a schedule), so none of them may import the CLI, hold an alias table
 # or spell a method name. No module starts a thread or a process. Every
-# definition has a caller outside the tests.
+# definition has a caller outside the tests. The CLI opens files in main
+# only.
 
 import ast
 import glob
@@ -101,3 +102,26 @@ def test_every_definition_has_a_caller_outside_the_tests():
                            and not m.name.startswith("__")
                            and m.name not in used]
     assert not unused, unused
+
+
+def test_cli_opens_files_in_main_only():
+    # main opens a command's outputs before any work and removes the new
+    # ones if the command fails; the commands write through the library
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    writers = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            if name.rpartition(".")[2] == "open":
+                assert owner == "main", \
+                    f"{owner or 'cli.py'} calls {name} (line {node.lineno})"
+            elif name.rpartition(".")[2].startswith(("write", "save", "dump")):
+                writers.add(name)
+    assert writers and all(
+        name.startswith("report.") or name in (
+            "calibration.save_stats", "data.save_dataset", "save_weights")
+        for name in writers), sorted(writers)

@@ -1,6 +1,6 @@
 import pytest
 
-from adamerge.report import merge_map_state
+from adamerge.report import merge_map_cells
 from adamerge.runtime import LayerRecord, RunConfig, RunTrace
 
 
@@ -26,17 +26,24 @@ def hand_trace(track_maps):
 
 @pytest.mark.parametrize("track_maps", [True, False])
 def test_merge_map_replays_the_edges(track_maps):
-    merged_at, sal_layers = merge_map_state(hand_trace(track_maps))
-    assert merged_at == {0: 0, 2: 0, 3: 1}
+    # per layer and original token: (merged at, merged by now, salience)
+    trace = hand_trace(track_maps)
+    cells = list(merge_map_cells(trace))
+    assert [rec for rec, _ in cells] == trace.layers
+    assert [[c[:2] for c in row] for _, row in cells] == [
+        [(0, True), (None, False), (0, True), (1, False), (None, False)],
+        [(0, True), (None, False), (0, True), (1, True), (None, False)]]
+    salience = [[c[2] for c in row] for _, row in cells]
     if track_maps:
-        assert sal_layers == [{1: 0.1, 3: 0.5, 4: 1.0}, {1: 0.0, 4: 1.0}]
+        assert salience == [[None, 0.1, None, 0.5, 1.0],
+                            [None, 0.0, None, None, 1.0]]
     else:
-        assert sal_layers == [{}, {}]
+        assert salience == [[None] * 5] * 2
 
 
 def test_merge_free_trace_keeps_every_token():
     layers = [LayerRecord(layer=l, n_before=4, n_after=4, r=0, sbar=0.0,
                           z=0.0) for l in range(2)]
-    assert merge_map_state(RunTrace(config=RunConfig(schedule=None),
-                                    layers=layers)) == \
-        ({}, [{}, {}])
+    assert [row for _, row in merge_map_cells(
+        RunTrace(config=RunConfig(schedule=None), layers=layers))] == \
+        [[(None, False, None)] * 4] * 2
