@@ -397,16 +397,28 @@ def main(argv=None) -> int:
     # A command that forwards opens its outputs before any work, so a path
     # that cannot be written costs no forward, and removes the ones it
     # created unless it succeeds, so a failed command leaves no output.
-    outs = ([path for dest, path in vars(args).items()
-             if dest.startswith("out") and path is not None]
-            if hasattr(args, "weights") else [])
+    # A path counts as the file it resolves to: a link stays and the new
+    # target it led to is removed. No two paths may name one file, where
+    # an output would replace the other output or the input it names.
+    files = ([(f"--{dest.replace('_', '-')}", path)
+              for dest, paths in vars(args).items()
+              if dest.startswith("out") or dest in ("stats", "labels")
+              for path in (paths if isinstance(paths, list) else [paths])
+              if path is not None]
+             if hasattr(args, "weights") else [])
     created = []
     try:
-        for path in outs:
-            new = not os.path.lexists(path)  # a file, device or link found stays
-            open(path, "a").close()  # appending keeps an existing file's bytes
-            if new:
-                created.append(path)
+        seen = {}  # realpath -> the option and path that named it
+        for flag, path in files:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{seen[real]} and {flag} {path} name the same file")
+            seen[real] = f"{flag} {path}"
+            if flag.startswith("--out"):
+                new = not os.path.lexists(real)  # a file or device found stays
+                open(path, "a").close()  # appending keeps an existing file's bytes
+                if new:
+                    created.append(real)
         code = args.func(args)
         created = []
         return code

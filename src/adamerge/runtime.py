@@ -332,8 +332,9 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
 
     A wrongly shaped image raises ValueError naming the image and d.
     A non-finite image raises NonFiniteError naming the image and its
-    first bad token row; a forward that turns non-finite, the first bad
-    weight or, when every weight is finite, the image and the layer.
+    first bad token row; a forward that turns non-finite, NonFiniteError
+    naming the first bad weight or, when every weight is finite, a plain
+    ValueError naming the image and the layer.
     """
     d = weights.dims.d
     results = []
@@ -346,8 +347,11 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
         except NonFiniteError as e:
             if not np.isfinite(seq.patches).all():  # no weight is to blame
                 raise NonFiniteError(f"on image {i} {e}") from None
-            raise NonFiniteError(_first_nonfinite_weight(weights) or
-                                 f"every weight is finite, but on image {i} {e}") from None
+            bad = _first_nonfinite_weight(weights)
+            if bad is not None:
+                raise NonFiniteError(bad) from None
+            raise ValueError(  # no weight is to blame either
+                f"every weight is finite, but on image {i} {e}") from None
     return results
 
 

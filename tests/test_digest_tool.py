@@ -3,11 +3,12 @@
 # tools/digest.txt pins that output at the default grid, and is the one
 # file that pins output bytes: the runs' logits and traces, and with
 # --cli every CLI output file (archives, stats, run and compare CSVs,
-# viz maps) and save_stats of hand-built stats. The tests that pin one
-# file's bytes read its `cli` line (tests/committed_digests.py). A change
-# that moves a number regenerates the file, and says why.
+# viz maps) and save_stats of hand-built stats. This file is its one
+# reader, so a change that moves a number fails one test, which names
+# every output that moved; the change regenerates the file, and says why.
 
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,9 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import digest as digest_tool  # noqa: E402
 
+REGENERATE = ("PYTHONPATH=src python tools/digest.py > tools/digest.txt\n"
+              "PYTHONPATH=src python tools/digest.py --cli >> tools/digest.txt")
+
 
 def run_tool(*args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -26,45 +30,71 @@ def run_tool(*args):
         env=env, check=True, capture_output=True).stdout
 
 
-@pytest.fixture(scope="module")
-def fresh():
-    """This process's output of `digest.py` and of `digest.py --cli`, and
-    the committed lines that another process wrote: one run of each
-    serves the three tests below."""
+def label(line):
+    """A digest line's label: what precedes its first digest."""
+    return re.split(r" (?:logits|sha256)=", line, maxsplit=1)[0]
+
+
+def mismatch_report(committed, fresh):
+    """What a fresh digest output changes of the committed lines: every
+    label whose line moved, went missing or was added, with the count of
+    each, then the commands that regenerate tools/digest.txt."""
+    want = {label(line): line for line in committed}
+    got = {label(line): line for line in fresh}
+    parts = {
+        "moved": [k for k in want if k in got and got[k] != want[k]],
+        "missing": [k for k in want if k not in got],
+        "added": [k for k in got if k not in want],
+    }
+    lines = ["tools/digest.txt does not match the output of tools/digest.py"]
+    for kind, labels in parts.items():
+        if labels:
+            lines.append(f"{kind} ({len(labels)}):")
+            lines.extend(f"  {k}" for k in labels)
+    if not any(parts.values()):
+        lines.append("the same lines, in another order or repeated")
+    lines.append("a change meant to move these outputs regenerates the "
+                 "file, and says why:")
+    lines.append(REGENERATE)
+    return "\n".join(lines)
+
+
+def test_output_matches_the_committed_digests():
+    # tools/digest.txt is `digest.py` followed by `digest.py --cli`, each
+    # run in a process of its own
+    grid = run_tool().decode().splitlines()
+    cli = run_tool("--cli").decode().splitlines()
     with open(os.path.join(ROOT, "tools", "digest.txt"), "rb") as f:
-        want = f.read().decode().splitlines()
-    return (run_tool().decode().splitlines(),
-            run_tool("--cli").decode().splitlines(), want)
-
-
-def test_output_matches_the_committed_digests(fresh):
-    # tools/digest.txt is `digest.py` followed by `digest.py --cli`
-    grid, cli, want = fresh
-    assert grid + cli == want
-
-
-def test_output_repeats_byte_for_byte(fresh):
-    grid, _, want = fresh
-    committed = [line for line in want if not line.startswith("cli ")]
-    assert grid == committed
-    labels = [line.split(" logits=")[0] for line in committed]
+        committed = f.read().decode().splitlines()
+    if grid + cli != committed:
+        pytest.fail(mismatch_report(committed, grid + cli), pytrace=False)
+    labels = [label(line) for line in grid]
     # per model and image: none, then tome and adamerge at 3 fixed r and
     # adaptive, x maps off/on
     assert len(labels) == len(set(labels)) == 2 * 4 * (1 + 2 * (2 * 4))
-
-
-def test_cli_output_repeats_byte_for_byte(fresh):
-    _, cli, want = fresh
-    committed = want[len(want) - len(cli):]
-    assert cli == committed
-    labels = [line.split(" sha256=")[0] for line in committed]
+    labels = [label(line) for line in cli]
     # manifest + blob of 4 synth archives; stats.json of the 2 merging
     # methods on 2 calibration sets; save_stats of hand-built stats; csv +
     # stdout of 2 runs; csv of 2 runs on the stats' schedule; compare csv
     # + svg, of configs on two --stats; svg + csv of 2 viz maps at 2 images
     assert len(labels) == len(set(labels)) == \
         4 * 2 + 2 * 2 + 1 + 2 * 2 + 2 + 2 + 2 * 2 * 2
-    assert all(label.startswith("cli ") for label in labels)
+    assert all(k.startswith("cli ") for k in labels)
+
+
+def test_mismatch_report_names_each_label_that_changed():
+    committed = ["d16 none image=0 logits=a trace=b",
+                 "d16 none image=1 logits=c trace=d",
+                 "cli synth tensors.bin sha256=e"]
+    fresh = ["d16 none image=0 logits=a trace=x",
+             "cli synth tensors.bin sha256=e",
+             "cli save_stats stats.json sha256=f"]
+    report = mismatch_report(committed, fresh).splitlines()
+    assert report[1:7] == ["moved (1):", "  d16 none image=0",
+                           "missing (1):", "  d16 none image=1",
+                           "added (1):", "  cli save_stats stats.json"]
+    assert report[-2:] == REGENERATE.splitlines()
+    assert "another order" in mismatch_report(committed, committed[::-1])
 
 
 def test_skip_leaves_fields_out_of_the_trace_digest(capsys):
