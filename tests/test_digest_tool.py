@@ -23,8 +23,9 @@ REGENERATE = ("PYTHONPATH=src python tools/digest.py > tools/digest.txt\n"
               "PYTHONPATH=src python tools/digest.py --cli >> tools/digest.txt")
 
 
-def run_tool(*args):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+def run_tool(*args, hash_seed="0"):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               PYTHONHASHSEED=hash_seed)
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "digest.py"), *args],
         env=env, check=True, capture_output=True).stdout
@@ -59,19 +60,38 @@ def mismatch_report(committed, fresh):
     return "\n".join(lines)
 
 
-def test_output_matches_the_committed_digests():
-    # tools/digest.txt is `digest.py` followed by `digest.py --cli`, each
-    # run in a process of its own
-    grid = run_tool().decode().splitlines()
-    cli = run_tool("--cli").decode().splitlines()
+@pytest.fixture(scope="module")
+def fresh():
+    """One run of `digest.py` and one of `digest.py --cli`, each in a
+    process of its own, serves the three tests below."""
+    return (run_tool().decode().splitlines(),
+            run_tool("--cli").decode().splitlines())
+
+
+def test_output_matches_the_committed_digests(fresh):
+    # tools/digest.txt is `digest.py` followed by `digest.py --cli`; this
+    # is the one test that a change of output bytes fails
+    grid, cli = fresh
     with open(os.path.join(ROOT, "tools", "digest.txt"), "rb") as f:
         committed = f.read().decode().splitlines()
     if grid + cli != committed:
         pytest.fail(mismatch_report(committed, grid + cli), pytrace=False)
+
+
+def test_output_repeats_byte_for_byte(fresh):
+    # a second process, with another hash seed, prints the same bytes; a
+    # change of the numbers moves both runs alike and passes here
+    grid, _ = fresh
+    assert run_tool(hash_seed="1").decode().splitlines() == grid
     labels = [label(line) for line in grid]
     # per model and image: none, then tome and adamerge at 3 fixed r and
     # adaptive, x maps off/on
     assert len(labels) == len(set(labels)) == 2 * 4 * (1 + 2 * (2 * 4))
+
+
+def test_cli_output_repeats_byte_for_byte(fresh):
+    _, cli = fresh
+    assert run_tool("--cli", hash_seed="1").decode().splitlines() == cli
     labels = [label(line) for line in cli]
     # manifest + blob of 4 synth archives; stats.json of the 2 merging
     # methods on 2 calibration sets; save_stats of hand-built stats; csv +
