@@ -57,8 +57,8 @@ def refine(weights: ModelWeights, images, r_max: int, alpha: float = 1.0,
     """Iterative refinement: bootstrap pass at fixed r = r_max // 2, then
     `passes - 1` adaptive passes each calibrated against the previous
     statistics. Two passes is the recommended protocol."""
-    if passes < 1:
-        raise ValueError(f"passes must be >= 1, got {passes}")
+    if not _is_int(passes) or passes < 1:
+        raise ValueError(f"passes must be an integer >= 1, got passes={passes!r}")
     images = list(images)
     check_schedule(r_max, alpha)  # before any forward pass
     # below 2 tokens every merge step scores no pair, so every layer's

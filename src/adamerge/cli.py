@@ -399,13 +399,19 @@ def main(argv=None) -> int:
     # created unless it succeeds, so a failed command leaves no output.
     # A path counts as the file it resolves to: a link stays and the new
     # target it led to is removed. No two paths may name one file, where
-    # an output would replace the other output or the input it names.
-    files = ([(f"--{dest.replace('_', '-')}", path)
-              for dest, paths in vars(args).items()
-              if dest.startswith("out") or dest in ("stats", "labels")
-              for path in (paths if isinstance(paths, list) else [paths])
-              if path is not None]
-             if hasattr(args, "weights") else [])
+    # an output would replace the other output or the input it names, and
+    # no output may lie inside an input archive, which it would overwrite.
+    files, archives = [], []
+    if hasattr(args, "weights"):
+        files = [(f"--{dest.replace('_', '-')}", path)
+                 for dest, paths in vars(args).items()
+                 if dest.startswith("out") or dest in ("stats", "labels")
+                 for path in (paths if isinstance(paths, list) else [paths])
+                 if path is not None]
+        archives = [(f"--{dest} {path}", os.path.realpath(path))
+                    for dest, path in (("weights", args.weights),
+                                       ("dataset", args.dataset))
+                    if path]  # "" names no archive
     created = []
     try:
         seen = {}  # realpath -> the option and path that named it
@@ -415,6 +421,10 @@ def main(argv=None) -> int:
                 raise ValueError(f"{seen[real]} and {flag} {path} name the same file")
             seen[real] = f"{flag} {path}"
             if flag.startswith("--out"):
+                for named, archive in archives:
+                    if os.path.commonpath([real, archive]) == archive:
+                        raise ValueError(f"{flag} {path} lies inside the "
+                                         f"archive {named}")
                 new = not os.path.lexists(real)  # a file or device found stays
                 open(path, "a").close()  # appending keeps an existing file's bytes
                 if new:

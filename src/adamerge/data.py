@@ -21,8 +21,8 @@ def synth_images(n_images: int, n_tokens: int, dim: int, redundancy: float,
     """Seed-deterministic [n_images, n_tokens, dim] float32 batch."""
     for name, v in (("n_images", n_images), ("n_tokens", n_tokens),
                     ("dim", dim)):
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1, got {name}={v}")
+        if not _is_int(v) or v < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {name}={v!r}")
     if not 0.0 <= redundancy <= 1.0:
         raise ValueError(f"redundancy must be in [0, 1], got {redundancy}")
     if not _is_int(seed) or seed < 0:

@@ -330,11 +330,12 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
     """Forward each [N, d] image with a zero CLS token; returns one
     (logits, trace) per image, in image order.
 
-    A wrongly shaped image raises ValueError naming the image and d.
-    A non-finite image raises NonFiniteError naming the image and its
-    first bad token row; a forward that turns non-finite, NonFiniteError
+    A wrongly shaped image raises ValueError naming the image and d, and
+    a non-finite one a plain ValueError naming the image and its first
+    bad token row. A forward that turns non-finite raises NonFiniteError
     naming the first bad weight or, when every weight is finite, a plain
-    ValueError naming the image and the layer.
+    ValueError naming the image and the layer: a NonFiniteError always
+    blames a weight.
     """
     d = weights.dims.d
     results = []
@@ -346,7 +347,7 @@ def run_images(weights: ModelWeights, images, cfg: RunConfig) -> list:
             results.append(forward_model(seq, weights, cfg))
         except NonFiniteError as e:
             if not np.isfinite(seq.patches).all():  # no weight is to blame
-                raise NonFiniteError(f"on image {i} {e}") from None
+                raise ValueError(f"on image {i} {e}") from None
             bad = _first_nonfinite_weight(weights)
             if bad is not None:
                 raise NonFiniteError(bad) from None

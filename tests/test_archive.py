@@ -339,6 +339,16 @@ class TestSynthData:
         with pytest.raises(ValueError):
             data.synth_images(1, 4, 2, 1.5, seed=0)
 
+    # these used to raise a TypeError naming no field
+    @pytest.mark.parametrize("field,value", [
+        ("n_images", 2.0), ("n_tokens", 8.5), ("n_images", True), ("dim", "4")])
+    def test_non_integer_size_rejected(self, field, value):
+        sizes = dict(n_images=2, n_tokens=8, dim=4)
+        sizes[field] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be an integer >= 1, got {field}={value!r}") + "$"):
+            data.synth_images(**sizes, redundancy=0.5, seed=0)
+
     def test_dataset_loads_into_one_array(self, tmp_path):
         imgs = data.synth_images(3, 8, 4, 0.5, seed=4)
         p = str(tmp_path / "ds")

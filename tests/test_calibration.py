@@ -81,17 +81,6 @@ class TestRefine:
         assert np.array_equal(stats.mu, want.mu)
         assert np.array_equal(stats.sigma, want.sigma)
 
-    def test_two_pass_deterministic_bytes(self, small_model, cal_images,
-                                          tmp_path):
-        paths = []
-        for k in range(2):
-            stats = calibration.refine(small_model, cal_images, r_max=6,
-                                       passes=2)
-            p = tmp_path / f"stats{k}.json"
-            calibration.save_stats(stats, p)
-            paths.append(p)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
     def test_weak_contraction(self):
         model = synth_weights(3, ModelDims(d=16, heads=2, d_ff=32, layers=8,
                                            n_classes=5))
@@ -105,6 +94,15 @@ class TestRefine:
     def test_passes_must_be_positive(self, small_model, cal_images):
         with pytest.raises(ValueError):
             calibration.refine(small_model, cal_images, r_max=6, passes=0)
+
+    # True used to run one pass, and 2.0 failed only after the passes
+    @pytest.mark.parametrize("passes", [True, 2.0], ids=["bool", "float"])
+    def test_non_integer_passes_fail_before_any_pass(self, small_model,
+                                                     passes):
+        # an empty dataset would fail in the bootstrap pass
+        with pytest.raises(ValueError, match=re.escape(
+                f"passes must be an integer >= 1, got passes={passes!r}") + "$"):
+            calibration.refine(small_model, [], r_max=6, passes=passes)
 
     @pytest.mark.parametrize("tokens", [0, 1])
     def test_images_of_fewer_than_two_tokens_rejected(self, small_model,

@@ -79,7 +79,7 @@ class TestSynth:
         out = tmp_path / "data"
         assert main(["synth", *(a for kv in sizes.items() for a in kv),
                      "--out", str(out)]) == 2
-        assert f"error: {field} must be >= 1, got {field}=0" in \
+        assert f"error: {field} must be an integer >= 1, got {field}=0" in \
             capsys.readouterr().err
         assert not out.exists()
 
@@ -89,8 +89,8 @@ class TestSynth:
         out = tmp_path / "data"
         assert main(["synth", "--images", images, "--tokens", "8", "--dim",
                      "4", "--out", str(out)]) == 2
-        assert f"error: n_images must be >= 1, got n_images={images}" in \
-            capsys.readouterr().err
+        assert ("error: n_images must be an integer >= 1, got "
+                f"n_images={images}") in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_defaults_to_zero_whatever_the_environment(self, tmp_path,
@@ -498,6 +498,43 @@ class TestExitCodes:
             f"error: {first} {path} and {second} {link} name the same file\n"))
         assert (path.read_bytes() if path.exists() else None) == before
         assert os.readlink(link) == str(path)
+
+    # an output inside --weights or --dataset used to overwrite a file of
+    # the archive, which the next command then rejected; the dataset is
+    # reached through a link
+    @pytest.mark.parametrize("archive,name", [("weights", "manifest.json"),
+                                              ("dataset", "tensors.bin")])
+    @pytest.mark.parametrize("command,flag", output_options())
+    def test_output_inside_an_input_archive_fails_before_any_work(
+            self, workspace, tmp_path, capsys, monkeypatch, command, flag,
+            archive, name):
+        def no_forward(*args):
+            raise AssertionError(f"{command} ran a forward")
+
+        monkeypatch.setattr("adamerge.runtime.forward_model", no_forward)
+        inputs = {dest: str(shutil.copytree(workspace[dest], tmp_path / dest))
+                  for dest in ("weights", "dataset")}
+        (tmp_path / "link").symlink_to(inputs["dataset"])
+        inside = os.path.join(inputs["weights"] if archive == "weights"
+                              else str(tmp_path / "link"), name)
+        before = open(inside, "rb").read()
+        spec = "adamerge:r_max=6" if command == "calibrate" else "tome:r=3"
+        assert main([command, "--weights", inputs["weights"], "--dataset",
+                     inputs["dataset"], "--config", spec, flag, inside]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {flag} {inside} lies inside the archive "
+            f"--{archive} {inputs[archive]}\n"))
+        assert open(inside, "rb").read() == before
+
+    # realpath("") is the working directory, which holds no archive
+    def test_empty_archive_path_holds_no_output(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--weights", "", "--dataset", "", "--config",
+                     "none", "--out-csv", "run.csv"]) == 2
+        assert capsys.readouterr().err == \
+            "error: archive at : not a tensor archive\n"
+        assert not (tmp_path / "run.csv").exists()
 
     def test_data_error_is_two(self, tmp_path):
         assert main(["run", "--weights", str(tmp_path / "nope"),

@@ -20,10 +20,12 @@ moves a number regenerates it, and says why:
 The grid: a d=16 model with zero biases and a d=64 model with non-zero
 biases and LN betas; `none`, and `tome` and `adamerge` at fixed r = 0, 3
 and an r above |A| and on the adaptive schedule of stats calibrated on
-the same images with their own salience setting; each merging run with
-track_maps off and on. `--skip FIELD` leaves a `LayerRecord` field out
-of the trace digest, for a change meant to alter only that field; any
-other name is a usage error.
+the same images with their own salience setting; 4 images per model.
+Each merging run has track_maps on, so its trace holds the salience map
+too; `tests/test_runtime.py` pins that the map changes no other byte of
+a run. `--skip FIELD` leaves a `LayerRecord` field out of the trace
+digest, for a change meant to alter only that field; any other name is
+a usage error.
 
 `--cli` prints instead one digest per output file of the `adamerge`
 commands on a d=16 workspace built in a temporary directory: the
@@ -64,9 +66,10 @@ MODELS = {
 }
 FIXED_R = (0, 3, 200)
 R_MAX = 6
+N_IMAGES = 4
 
 
-def make_model(name, n_images):
+def make_model(name):
     dims, tokens, seed, biased = MODELS[name]
     weights = synth_weights(seed, dims)
     if biased:
@@ -75,24 +78,24 @@ def make_model(name, n_images):
             for fld in ("b_qkv", "b_proj", "b_fc1", "b_fc2", "ln1_beta", "ln2_beta"):
                 v = getattr(blk, fld)
                 v[:] = rng.normal(0.0, 0.05, size=v.shape).astype(v.dtype)
-    images = data.synth_images(n_images, tokens, dims.d, 0.5, seed=seed)
+    images = data.synth_images(N_IMAGES, tokens, dims.d, 0.5, seed=seed)
     return weights, images
 
 
 def configs(stats):
-    """(label, RunConfig) for every method, schedule and track_maps;
-    `stats` maps a salience setting to stats calibrated with it."""
+    """(label, RunConfig) for every method and schedule, merging runs
+    with track_maps on; `stats` maps a salience setting to stats
+    calibrated with it."""
     for method, salience in METHOD_ALIASES.items():
         if method == "none":
             yield method, build_run_config(method)
             continue
-        for maps in (False, True):
-            for r in FIXED_R:
-                yield (f"{method}:r={r}:maps={int(maps)}", dataclasses.replace(
-                    build_run_config(method, r=r), track_maps=maps))
-            yield (f"{method}:r_max={R_MAX}:maps={int(maps)}", dataclasses.replace(
-                build_run_config(method, r_max=R_MAX, stats=stats[salience]),
-                track_maps=maps))
+        for r in FIXED_R:
+            yield f"{method}:r={r}", dataclasses.replace(
+                build_run_config(method, r=r), track_maps=True)
+        yield f"{method}:r_max={R_MAX}", dataclasses.replace(
+            build_run_config(method, r_max=R_MAX, stats=stats[salience]),
+            track_maps=True)
 
 
 def trace_digest(trace, skip):
@@ -211,9 +214,6 @@ def cli_digests():
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--models", nargs="+", choices=list(MODELS),
-                   default=list(MODELS))
-    p.add_argument("--images", type=int, default=4)
     p.add_argument("--skip", action="append", default=[],
                    choices=[f.name for f in dataclasses.fields(LayerRecord)],
                    help="LayerRecord field to leave out of the trace digest")
@@ -224,8 +224,8 @@ def main(argv=None):
         for label, digest in cli_digests():
             print(f"cli {label} sha256={digest}")
         return
-    for name in args.models:
-        weights, images = make_model(name, args.images)
+    for name in MODELS:
+        weights, images = make_model(name)
         stats = {salience: calibration.refine(weights, images, r_max=R_MAX,
                                               passes=2, salience=salience)
                  for salience in (True, False)}
